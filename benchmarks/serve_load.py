@@ -324,10 +324,7 @@ def scrape_fleet_overhead(url: str) -> dict | None:
 # ----------------------------------------------------------------------
 def run_threaded(model_dir: Path, load: tuple[int, int, float],
                  segmentation: Segmentation) -> dict:
-    server = create_server(
-        model_dir, port=0, refresh_interval=-1,
-        batch_window_seconds=0.002,
-    )
+    server = create_server(model_dir, port=0, refresh_interval=-1)
     thread = server.serve_in_background()
     try:
         equivalence = equivalence_probe(server.url, segmentation)
@@ -335,8 +332,6 @@ def run_threaded(model_dir: Path, load: tuple[int, int, float],
         result["server_histogram"] = scrape_histogram(server.url)
     finally:
         server.service.begin_drain()
-        if server.service.batcher is not None:
-            server.service.batcher.close()
         server.shutdown()
         server.server_close()
         thread.join(timeout=10.0)

@@ -221,21 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scoring worker processes sharing the "
                             "listening socket and shared-memory scorer "
                             "tables (0 = single threaded process)")
-    serve.add_argument("--batch-window", type=float, default=None,
-                       metavar="MS",
-                       help="coalesce concurrent scoring calls for up "
-                            "to MS milliseconds into one batch gather "
-                            "(default: 2 with --workers, off without; "
-                            "an explicit 0 disables batching in "
-                            "either mode)")
-    serve.add_argument("--max-batch", type=int, default=None,
-                       metavar="POINTS",
-                       help="flush a batch early once this many points "
-                            "wait for one model (default 1024)")
-    serve.add_argument("--queue-depth", type=int, default=None,
-                       metavar="N",
-                       help="shed requests with HTTP 429 once N "
-                            "submissions are queued (default 256)")
     serve.add_argument("--fleet-interval", type=float, default=None,
                        metavar="SECONDS",
                        help="with --workers: how often each worker "
@@ -657,23 +642,6 @@ def _describe_served(registry, source: Path, url: str,
               f"{segmentation.rhs_value} [{len(segmentation)} rules]")
 
 
-def _batch_window_seconds(batch_window: float | None,
-                          workers: int) -> float:
-    """Resolve ``--batch-window`` (milliseconds, or unset) by mode.
-
-    Unset means default-by-mode: workers coalesce by default (batched
-    gathers are the point of a multi-core front end), the threaded path
-    stays unbatched.  An explicit ``0`` opts out of batching in either
-    mode — distinguishable from the default because the flag's argparse
-    default is ``None``, not ``0``.
-    """
-    from repro.serve.batching import DEFAULT_MAX_DELAY_SECONDS
-
-    if batch_window is None:
-        return DEFAULT_MAX_DELAY_SECONDS if workers > 0 else 0.0
-    return batch_window / 1000.0
-
-
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         WorkerConfig,
@@ -682,15 +650,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         run_multiprocess_server,
         run_server,
     )
-    from repro.serve.batching import (
-        DEFAULT_MAX_BATCH,
-        DEFAULT_MAX_DEPTH,
-    )
 
     if args.workers < 0:
         raise SystemExit("arcs serve: --workers must be >= 0")
-    if args.batch_window is not None and args.batch_window < 0:
-        raise SystemExit("arcs serve: --batch-window must be >= 0")
     if args.fleet_interval is not None and args.fleet_interval < 0:
         raise SystemExit("arcs serve: --fleet-interval must be >= 0")
     # A serving process exists to be watched: collect metrics so
@@ -698,16 +660,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     obs.enable(
         trace_spans=getattr(args, "trace", False), collect_metrics=True
     )
-    window_seconds = _batch_window_seconds(args.batch_window,
-                                           args.workers)
     if args.workers > 0:
         config = WorkerConfig(
-            batch_window_seconds=window_seconds,
-            max_batch=(args.max_batch if args.max_batch is not None
-                       else DEFAULT_MAX_BATCH),
-            queue_depth=(args.queue_depth
-                         if args.queue_depth is not None
-                         else DEFAULT_MAX_DEPTH),
             events_out=(str(args.events_out)
                         if getattr(args, "events_out", None) is not None
                         else None),
@@ -729,9 +683,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     server = create_server(
         args.models, host=args.host, port=args.port,
         refresh_interval=args.refresh_interval,
-        batch_window_seconds=window_seconds,
-        max_batch=args.max_batch,
-        queue_depth=args.queue_depth,
     )
     _describe_served(server.service.registry, args.models, server.url)
     run_server(server)

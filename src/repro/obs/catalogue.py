@@ -94,9 +94,6 @@ METRICS: dict[str, tuple[str, str]] = {
     'serve.out_of_range{attr,model}':
         ('gauge',
          'fraction of recently scored points outside the trained bin range, per LHS attribute and model'),
-    'serve.queue_depth':
-        ('gauge',
-         'scoring submissions currently waiting in the batch queue'),
     'serve.reload_errors':
         ('counter',
          'artefacts that failed to reload (previous version kept)'),
@@ -123,7 +120,7 @@ METRICS: dict[str, tuple[str, str]] = {
          '`compile_scorer` LRU cache misses'),
     'serve.shed_total{endpoint}':
         ('counter',
-         'requests shed with HTTP 429 at the queue-depth bound, labeled by endpoint'),
+         'requests shed with HTTP 429 at the in-flight scoring bound, labeled by endpoint'),
     'serve.shm_attach_fallbacks':
         ('counter',
          'worker scorer resolutions that compiled locally because no shared block existed'),

@@ -59,7 +59,6 @@ __all__ = [
     "emit",
     "set_request_id",
     "reset_request_id",
-    "current_request_id",
     "set_worker_identity",
     "worker_identity",
 ]
@@ -90,11 +89,6 @@ def set_request_id(
 def reset_request_id(token: contextvars.Token) -> None:
     """Restore the binding captured by :func:`set_request_id`."""
     _request_id.reset(token)
-
-
-def current_request_id() -> str | None:
-    """The request id bound to this context, or ``None``."""
-    return _request_id.get()
 
 
 def set_worker_identity(index: int | None) -> None:

@@ -333,12 +333,12 @@ class MetricsRegistry:
         summaries (older payloads) merge count/total/min/max only.
 
         Gauges never sum — a merged gauge overwrites (last wins), which
-        is wrong across *distinct sources* (two workers' queue depths
-        are independent readings, not one).  ``relabel_gauges`` adds the
-        given labels to every incoming gauge so each source lands on its
-        own series (``serve.queue_depth{worker="0"}``) instead of
-        clobbering a peer's value; the fleet aggregator passes
-        ``{"worker": str(index)}``."""
+        is wrong across *distinct sources* (two workers' loaded-model
+        counts are independent readings, not one).  ``relabel_gauges``
+        adds the given labels to every incoming gauge so each source
+        lands on its own series (``serve.models_loaded{worker="0"}``)
+        instead of clobbering a peer's value; the fleet aggregator
+        passes ``{"worker": str(index)}``."""
         for key, value in snapshot.get("counters", {}).items():
             name, labels = parse_series_key(key)
             self.counter(name, labels).inc(value)

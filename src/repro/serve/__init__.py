@@ -16,14 +16,13 @@ that missing half, in three layers:
 * :mod:`repro.serve.service` / :mod:`repro.serve.app` — a stdlib-only
   threaded HTTP service (``/predict``, ``/predict_batch``, ``/explain``,
   ``/models``, ``/healthz``, ``/metrics``, ``/stats``) instrumented
-  through :mod:`repro.obs`;
+  through :mod:`repro.obs`; each request is scored inline on its
+  handler thread, with 429 load shedding past a fixed in-flight bound
+  and a graceful drain;
 * :mod:`repro.serve.monitor` — per-model :class:`TrafficMonitor` s that
   re-bin scored traffic into the training grid and score drift
   (PSI / Jensen-Shannon) against the artefact's reference profile,
   surfaced via ``GET /stats``, drift gauges and threshold events;
-* :mod:`repro.serve.batching` — a :class:`BatchQueue` coalescing
-  concurrent scoring calls into single ``score_batch`` gathers, with
-  429 load shedding and a graceful drain;
 * :mod:`repro.serve.workers` — the pre-fork
   :class:`MultiProcessServer`: N forked workers sharing one listening
   socket and attaching compiled scorer tables zero-copy from
@@ -39,12 +38,6 @@ from repro.serve.app import (
     drain_server,
     run_multiprocess_server,
     run_server,
-)
-from repro.serve.batching import (
-    BatchingError,
-    BatchQueue,
-    DrainingError,
-    QueueFullError,
 )
 from repro.serve.monitor import TrafficMonitor, TrafficMonitors
 from repro.serve.registry import (
@@ -72,17 +65,13 @@ from repro.serve.workers import (
 )
 
 __all__ = [
-    "BatchQueue",
-    "BatchingError",
     "CompiledScorer",
-    "DrainingError",
     "ModelDirectoryError",
     "ModelNotFoundError",
     "ModelRegistry",
     "MultiProcessServer",
     "PredictionServer",
     "PredictionService",
-    "QueueFullError",
     "ScoringError",
     "ServedModel",
     "ServiceError",

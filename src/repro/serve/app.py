@@ -25,7 +25,6 @@ import signal
 import threading
 from pathlib import Path
 
-from repro.serve.batching import BatchQueue
 from repro.serve.monitor import (
     DEFAULT_WINDOW_COUNT,
     DEFAULT_WINDOW_SECONDS,
@@ -51,36 +50,21 @@ def create_server(model_dir: str | Path, host: str = "127.0.0.1",
                   refresh_interval: float = 1.0,
                   window_seconds: float = DEFAULT_WINDOW_SECONDS,
                   window_count: int = DEFAULT_WINDOW_COUNT,
-                  batch_window_seconds: float = 0.0,
-                  max_batch: int | None = None,
-                  queue_depth: int | None = None,
                   ) -> PredictionServer:
     """Build a ready-to-serve :class:`PredictionServer`.
 
     The registry load is strict: an invalid artefact in ``model_dir``
     fails startup loudly rather than serving a partial catalogue.
     ``window_seconds``/``window_count`` configure the traffic monitor's
-    tumbling drift windows behind ``GET /stats``.  A positive
-    ``batch_window_seconds`` routes scoring through a
-    :class:`~repro.serve.batching.BatchQueue` (coalesced gathers, 429
-    load shedding at ``queue_depth``); zero keeps the direct path.
+    tumbling drift windows behind ``GET /stats``.
     """
     registry = ModelRegistry(
         model_dir, refresh_interval=refresh_interval
     ).load()
-    batcher = None
-    if batch_window_seconds > 0:
-        kwargs: dict = {"max_delay_seconds": batch_window_seconds}
-        if max_batch is not None:
-            kwargs["max_batch"] = max_batch
-        if queue_depth is not None:
-            kwargs["max_depth"] = queue_depth
-        batcher = BatchQueue(**kwargs)
     service = PredictionService(
         registry,
         monitors=TrafficMonitors(window_seconds=window_seconds,
                                  window_count=window_count),
-        batcher=batcher,
     )
     server = PredictionServer((host, port), service)
     logger.info(
@@ -115,10 +99,7 @@ def drain_server(server: PredictionServer,
     helper thread; Python delivers signals to the main thread, which
     is exactly the one blocked in ``serve_forever``.
     """
-    service = server.service
-    service.begin_drain()
-    if service.batcher is not None:
-        service.batcher.close()
+    server.service.begin_drain()
     stopper = threading.Thread(target=server.shutdown,
                                name="arcs-drain", daemon=True)
     stopper.start()
@@ -129,8 +110,8 @@ def run_server(server: PredictionServer) -> None:
     """Serve until interrupted or SIGTERMed; always releases the socket.
 
     SIGTERM triggers a graceful drain: in-flight requests complete, new
-    scoring work is refused with 503, the batch queue (if any) flushes,
-    and ``server_close()`` joins the handler threads.
+    scoring work is refused with 503, and ``server_close()`` joins the
+    handler threads.
     """
     def _drain_async(signum: int, frame: object) -> None:
         logger.info("signal %d received; draining", signum)

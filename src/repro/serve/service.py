@@ -70,11 +70,6 @@ from repro.obs.profiler import profile_for
 from repro.obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from repro.obs.prometheus import render_prometheus, render_registry
 from repro.obs.tracing import Span
-from repro.serve.batching import (
-    BatchQueue,
-    DrainingError,
-    QueueFullError,
-)
 from repro.serve.monitor import TrafficMonitors
 from repro.serve.registry import ModelRegistry, ServedModel
 from repro.serve.scorer import (
@@ -93,6 +88,11 @@ __all__ = [
     "ServiceError",
     "TextResponse",
 ]
+
+#: Scoring calls allowed in flight at once per service; one more is
+#: shed with HTTP 429 (``serve.shed_total{endpoint}``) instead of
+#: queueing behind the others.
+MAX_IN_FLIGHT = 256
 
 #: Upper bound on one ``/debug/profile`` sampling window; keeps a typo'd
 #: ``seconds=`` from parking a handler thread for an hour.
@@ -190,9 +190,8 @@ def _compile_for(model: ServedModel) -> CompiledScorer:
 class PredictionService:
     """Endpoint logic over a :class:`ModelRegistry` (transport-free).
 
-    ``batcher`` (a :class:`~repro.serve.batching.BatchQueue`) routes all
-    scoring through the coalescing queue — shed (429) and drain (503)
-    semantics come with it.  ``scorer_provider`` swaps where compiled
+    At most :data:`MAX_IN_FLIGHT` scoring calls run at once; the next
+    is shed with 429.  ``scorer_provider`` swaps where compiled
     scorers come from: the default compiles in process; worker processes
     inject a provider that attaches to the parent's shared-memory
     tables (:mod:`repro.serve.workers`).
@@ -201,7 +200,6 @@ class PredictionService:
     def __init__(self, registry: ModelRegistry,
                  recent_span_limit: int = 64,
                  monitors: TrafficMonitors | None = None,
-                 batcher: BatchQueue | None = None,
                  scorer_provider=None,
                  fleet_view=None):
         self.registry = registry
@@ -213,8 +211,7 @@ class PredictionService:
         self.monitors = (
             monitors if monitors is not None else TrafficMonitors()
         )
-        #: Optional request-coalescing queue (None scores inline).
-        self.batcher = batcher
+        self._in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
         self.scorer_for = (
             scorer_provider if scorer_provider is not None
             else _compile_for
@@ -478,25 +475,26 @@ class PredictionService:
     def _score_arrays(self, model: ServedModel, x_values: np.ndarray,
                       y_values: np.ndarray,
                       endpoint: str) -> np.ndarray:
-        """Score a batch directly or through the coalescing queue.
+        """Score a batch inline under the in-flight bound.
 
-        Maps the scoring-path failure modes to their HTTP statuses:
-        invalid input 400, queue full 429 (counted in
-        ``serve.shed_total{endpoint}``), draining 503.
+        Invalid input maps to 400; a call beyond :data:`MAX_IN_FLIGHT`
+        concurrent ones is shed with 429 (counted in
+        ``serve.shed_total{endpoint}``).
         """
         scorer = self.scorer_for(model)
-        try:
-            if self.batcher is None:
-                return scorer.score_batch(x_values, y_values)
-            return self.batcher.submit(scorer, x_values, y_values)
-        except ScoringError as error:  # NaN input
-            raise ServiceError(400, str(error)) from None
-        except QueueFullError as error:
+        if not self._in_flight.acquire(blocking=False):
             metrics.inc("serve.shed_total", labels={"endpoint": endpoint})
             events.emit("shed", endpoint=endpoint, model=model.name)
-            raise ServiceError(429, str(error)) from None
-        except DrainingError as error:
-            raise ServiceError(503, str(error)) from None
+            raise ServiceError(
+                429, f"server is at its bound of {MAX_IN_FLIGHT} "
+                     "in-flight scoring calls"
+            )
+        try:
+            return scorer.score_batch(x_values, y_values)
+        except ScoringError as error:  # NaN input
+            raise ServiceError(400, str(error)) from None
+        finally:
+            self._in_flight.release()
 
     def _record_traffic(self, model: ServedModel, x_values, y_values,
                         rule_indices) -> None:
@@ -694,7 +692,17 @@ class PredictionHandler(BaseHTTPRequestHandler):
     # Plumbing
     # ------------------------------------------------------------------
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = (self.headers.get("Content-Length") or "0").strip()
+        # A negative length would make rfile.read() block until the
+        # client hangs up; a non-integer one would raise mid-handler.
+        # Either way the body's extent is unknown, so the connection
+        # cannot be reused for a next request.
+        if not (header.isascii() and header.isdigit()):
+            self.close_connection = True
+            raise ServiceError(
+                400, f"invalid Content-Length header {header!r}"
+            )
+        length = int(header)
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ServiceError(400, "empty request body; send JSON")

@@ -8,13 +8,12 @@ the GIL; this module scales it across cores, gunicorn-style:
   position tables into ``multiprocessing.shared_memory`` blocks keyed
   by model content hash (:class:`ScorerPublisher`);
 * N **workers** are forked with the listening socket and each run the
-  full request stack — :class:`~repro.serve.service.PredictionService`
-  with a :class:`~repro.serve.batching.BatchQueue` — accepting
-  connections directly from the shared socket (the kernel load-balances
-  ``accept`` across processes).  Their scorers come from
-  :class:`SharedScorerCache`, which attaches the parent's tables
-  zero-copy (read-only numpy views over the shared buffer) and falls
-  back to a local compile when a block is missing;
+  full request stack — a :class:`~repro.serve.service.PredictionService`
+  scoring inline — accepting connections directly from the shared
+  socket (the kernel load-balances ``accept`` across processes).  Their
+  scorers come from :class:`SharedScorerCache`, which attaches the
+  parent's tables zero-copy (read-only numpy views over the shared
+  buffer) and falls back to a local compile when a block is missing;
 * the parent then supervises: a refresh loop re-scans the model
   directory (hot reload), publishes new blocks, and broadcasts a
   ``sync`` to every worker; a watchdog restarts crashed workers
@@ -59,10 +58,9 @@ latency, snapshot age, drain state).
 
 **Graceful drain** (SIGTERM via the CLI, or :meth:`drain` directly):
 the parent broadcasts ``drain``; each worker stops accepting, answers
-new scoring requests with 503, flushes its batch queue so blocked
-callers complete, joins its handler threads, and exits; the parent
-joins every worker, then unlinks all shared blocks and closes the
-socket.
+new scoring requests with 503, joins its handler threads so in-flight
+requests complete, and exits; the parent joins every worker, then
+unlinks all shared blocks and closes the socket.
 
 Results are bit-identical to the single-process scorer: an attached
 scorer is a :class:`~repro.serve.scorer.CompiledScorer` over byte-exact
@@ -99,12 +97,6 @@ from http.server import ThreadingHTTPServer
 
 from repro.obs import events, metrics, tracing
 from repro.obs.fleet import FleetAggregator, FleetView
-from repro.serve.batching import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_DELAY_SECONDS,
-    DEFAULT_MAX_DEPTH,
-    BatchQueue,
-)
 from repro.serve.monitor import (
     DEFAULT_WINDOW_COUNT,
     DEFAULT_WINDOW_SECONDS,
@@ -488,10 +480,6 @@ class SharedScorerCache:
 class WorkerConfig:
     """Per-worker serving knobs, shared by the parent and the CLI."""
 
-    #: Batching window in seconds; 0 disables the queue entirely.
-    batch_window_seconds: float = DEFAULT_MAX_DELAY_SECONDS
-    max_batch: int = DEFAULT_MAX_BATCH
-    queue_depth: int = DEFAULT_MAX_DEPTH
     window_seconds: float = DEFAULT_WINDOW_SECONDS
     window_count: int = DEFAULT_WINDOW_COUNT
     #: Re-enabled per worker (fork does not share the JSONL sink).
@@ -506,15 +494,6 @@ class WorkerConfig:
     #: private temp directory it cleans up on drain; a caller-pinned
     #: path survives the drain (CI uploads it as an artifact).
     fleet_path: str | None = None
-
-    def build_batcher(self) -> BatchQueue | None:
-        if self.batch_window_seconds <= 0:
-            return None
-        return BatchQueue(
-            max_delay_seconds=self.batch_window_seconds,
-            max_batch=self.max_batch,
-            max_depth=self.queue_depth,
-        )
 
 
 class _AdoptedSocketServer(PredictionServer):
@@ -626,7 +605,6 @@ def _worker_main(index: int, worker_count: int, listen_socket,
     _reset_child_observability(index, config)
     registry = ModelRegistry(model_dir, refresh_interval=-1).load()
     cache = SharedScorerCache(prefix)
-    batcher = config.build_batcher()
     fleet_view = (
         FleetView(config.fleet_path) if config.fleet_path else None
     )
@@ -634,7 +612,6 @@ def _worker_main(index: int, worker_count: int, listen_socket,
         registry,
         monitors=TrafficMonitors(window_seconds=config.window_seconds,
                                  window_count=config.window_count),
-        batcher=batcher,
         scorer_provider=cache.resolve,
         fleet_view=fleet_view.read if fleet_view is not None else None,
     )
@@ -691,8 +668,6 @@ def _worker_main(index: int, worker_count: int, listen_socket,
                 break
     finally:
         service.begin_drain()
-        if batcher is not None:
-            batcher.close()
         server.shutdown()
         # server_close joins the in-flight handler threads
         # (block_on_close), completing the graceful drain.

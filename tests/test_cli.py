@@ -513,51 +513,21 @@ class TestServeFlags:
     def test_serve_defaults_to_threaded_unbatched(self, tmp_path):
         args = self._parse(["serve", str(tmp_path)])
         assert args.workers == 0
-        # None = unset, so an explicit "--batch-window 0" stays
-        # distinguishable from the default.
-        assert args.batch_window is None
-        assert args.max_batch is None
-        assert args.queue_depth is None
 
-    def test_explicit_zero_batch_window_is_not_the_default(self,
-                                                           tmp_path):
-        args = self._parse(["serve", str(tmp_path), "--workers", "2",
-                            "--batch-window", "0"])
-        assert args.batch_window == 0.0
+    def test_serve_has_no_batching_flags(self, capsys):
+        # Requests are always scored inline; no knob queues them.
+        with pytest.raises(SystemExit):
+            self._parse(["serve", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--workers" in help_text
+        assert "batch" not in help_text and "queue" not in help_text
 
-    def test_batch_window_resolution_by_mode(self):
-        from repro.cli import _batch_window_seconds
-        from repro.serve.batching import DEFAULT_MAX_DELAY_SECONDS
-
-        # Unset: workers default to coalescing, threaded stays off.
-        assert _batch_window_seconds(None, 0) == 0.0
-        assert _batch_window_seconds(None, 4) == DEFAULT_MAX_DELAY_SECONDS
-        # Explicit 0 opts out of batching in either mode.
-        assert _batch_window_seconds(0.0, 4) == 0.0
-        assert _batch_window_seconds(0.0, 0) == 0.0
-        # Milliseconds convert to seconds.
-        assert _batch_window_seconds(5.0, 0) == 0.005
-        assert _batch_window_seconds(5.0, 4) == 0.005
-
-    def test_serve_accepts_worker_and_batching_flags(self, tmp_path):
-        args = self._parse([
-            "serve", str(tmp_path), "--workers", "4",
-            "--batch-window", "5", "--max-batch", "512",
-            "--queue-depth", "64",
-        ])
+    def test_serve_accepts_worker_count(self, tmp_path):
+        args = self._parse(["serve", str(tmp_path), "--workers", "4"])
         assert args.workers == 4
-        assert args.batch_window == 5.0
-        assert args.max_batch == 512
-        assert args.queue_depth == 64
 
     def test_serve_rejects_negative_workers(self, tmp_path):
         tmp_path.joinpath("models").mkdir()
         with pytest.raises(SystemExit, match="--workers"):
             main(["serve", str(tmp_path / "models"),
                   "--workers", "-1"])
-
-    def test_serve_rejects_negative_batch_window(self, tmp_path):
-        tmp_path.joinpath("models").mkdir()
-        with pytest.raises(SystemExit, match="--batch-window"):
-            main(["serve", str(tmp_path / "models"),
-                  "--batch-window", "-2"])

@@ -104,10 +104,10 @@ class TestFleetAggregator:
         aggregator.register_worker(1, 101, 1)
         w0, w1 = MetricsRegistry(), MetricsRegistry()
         w0.inc("serve.requests", 4)
-        w0.set_gauge("serve.queue_depth", 2.0)
+        w0.set_gauge("serve.models_loaded", 2.0)
         w0.observe("serve.batch_size", 8.0)
         w1.inc("serve.requests", 6)
-        w1.set_gauge("serve.queue_depth", 5.0)
+        w1.set_gauge("serve.models_loaded", 5.0)
         w1.observe("serve.batch_size", 16.0)
         aggregator.absorb(0, payload(100, 1, w0))
         aggregator.absorb(1, payload(101, 1, w1))
@@ -117,8 +117,8 @@ class TestFleetAggregator:
         aggregate = self.two_worker_aggregator().aggregate()
         assert aggregate["counters"]["serve.requests"] == 10
         assert aggregate["gauges"] == {
-            'serve.queue_depth{worker="0"}': 2.0,
-            'serve.queue_depth{worker="1"}': 5.0,
+            'serve.models_loaded{worker="0"}': 2.0,
+            'serve.models_loaded{worker="1"}': 5.0,
         }
         assert aggregate["histograms"]["serve.batch_size"]["count"] == 2
 
@@ -137,7 +137,7 @@ class TestFleetAggregator:
         aggregator.register_worker(0, 100, 1)
         first = MetricsRegistry()
         first.inc("serve.requests", 5)
-        first.set_gauge("serve.queue_depth", 9.0)
+        first.set_gauge("serve.models_loaded", 9.0)
         aggregator.absorb(0, payload(100, 1, first))
         # Watchdog replaces the crashed worker: new pid, incarnation 2.
         aggregator.note_restart(0)

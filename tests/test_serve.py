@@ -1,6 +1,7 @@
 """Unit and integration tests for the serving subsystem (repro.serve)."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -626,6 +627,26 @@ class TestHTTPServer:
             urllib.request.urlopen(request, timeout=5)
         assert exc.value.code == 400
 
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_malformed_content_length_is_400(self, server, length):
+        # A negative length used to park the handler in rfile.read(-1)
+        # until the client hung up; a non-integer one dropped the
+        # connection with no response at all.
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as conn:
+            conn.sendall(
+                b"POST /predict HTTP/1.1\r\n"
+                b"Host: localhost\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n"
+                b'{"model": "groupA", "x": 25, "y": 60000}'
+            )
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                chunk = conn.recv(4096)
+                assert chunk, f"connection closed early: {reply!r}"
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 400 ")
+
     def test_hot_reload_swaps_models_between_requests(self, server,
                                                       model_dir):
         _, before = _post(server, "/predict",
@@ -1037,8 +1058,7 @@ class TestGracefulDrain:
     def test_drain_server_helper_stops_the_loop(self, model_dir):
         from repro.serve import drain_server
 
-        server = create_server(model_dir, port=0, refresh_interval=0,
-                               batch_window_seconds=0.001)
+        server = create_server(model_dir, port=0, refresh_interval=0)
         thread = server.serve_in_background()
         assert _post(server, "/predict",
                      {"model": "groupA", "x": 25, "y": 60_000})[0] == 200
@@ -1046,7 +1066,6 @@ class TestGracefulDrain:
         thread.join(10.0)
         assert not thread.is_alive()
         assert server.service.draining
-        assert server.service.batcher.closed
         server.server_close()
 
     def test_sigterm_drains_run_server_promptly(self, model_dir):
@@ -1064,7 +1083,7 @@ class TestGracefulDrain:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "repro.cli", "serve",
-             str(model_dir), "--port", "0", "--batch-window", "1"],
+             str(model_dir), "--port", "0"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         )
         try:
@@ -1099,11 +1118,7 @@ class TestGracefulDrain:
             proc.stdout.close()
 
     def test_batched_server_end_to_end(self, model_dir):
-        from repro.obs import metrics as metrics_module
-
-        metrics_module.enable(metrics_module.MetricsRegistry())
-        server = create_server(model_dir, port=0, refresh_interval=0,
-                               batch_window_seconds=0.002)
+        server = create_server(model_dir, port=0, refresh_interval=0)
         server.serve_in_background()
         try:
             statuses = []
@@ -1124,11 +1139,76 @@ class TestGracefulDrain:
             for thread in threads:
                 thread.join()
             assert statuses == [200] * 12
-            # The batching gauge is live on the JSON exposition.
-            body = _get(server, "/metrics")[1]
-            assert "serve.queue_depth" in body["metrics"]["gauges"]
         finally:
-            server.service.batcher.close()
             server.shutdown()
             server.server_close()
-            metrics_module.disable()
+
+
+# ----------------------------------------------------------------------
+# Load shedding (fixed in-flight bound)
+# ----------------------------------------------------------------------
+class TestLoadShedding:
+    def test_inflight_bound_sheds_with_429(self, model_dir, tmp_path,
+                                           monkeypatch):
+        from repro.obs import events, metrics
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "MAX_IN_FLIGHT", 1)
+        registry = metrics.enable(metrics.MetricsRegistry())
+        log = tmp_path / "events.jsonl"
+        events.enable_events(log)
+        server = create_server(model_dir, port=0, refresh_interval=0)
+        server.serve_in_background()
+        entered = threading.Event()
+        release = threading.Event()
+        direct = server.service.scorer_for
+
+        class BlockingScorer:
+            def __init__(self, scorer):
+                self.scorer = scorer
+
+            def score_batch(self, x_values, y_values):
+                entered.set()
+                assert release.wait(30.0), "shed test never released"
+                return self.scorer.score_batch(x_values, y_values)
+
+        server.service.scorer_for = (
+            lambda model: BlockingScorer(direct(model))
+        )
+        payload = {"model": "groupA", "x": 25, "y": 60_000}
+        results = []
+        holder = threading.Thread(target=lambda: results.append(
+            _post(server, "/predict", payload)
+        ))
+        try:
+            holder.start()
+            assert entered.wait(10.0)
+            request = urllib.request.Request(
+                server.url + "/predict",
+                data=json.dumps(payload).encode(),
+                headers={"X-Arcs-Request-Id": "shed-probe-1"},
+                method="POST",
+            )
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                urllib.request.urlopen(request, timeout=5)
+            assert exc.value.code == 429
+            assert "in-flight" in json.load(exc.value)["error"]
+            counters = registry.snapshot()["counters"]
+            assert counters['serve.shed_total{endpoint="predict"}'] == 1
+        finally:
+            release.set()
+            holder.join(10.0)
+            server.shutdown()
+            server.server_close()
+            events.disable_events()
+            metrics.disable()
+        assert not holder.is_alive()
+        assert results and results[0][0] == 200
+        sheds = [
+            record for record in map(json.loads,
+                                     log.read_text().splitlines())
+            if record["type"] == "shed"
+        ]
+        assert len(sheds) == 1
+        assert sheds[0]["request_id"] == "shed-probe-1"
+        assert sheds[0]["endpoint"] == "predict"

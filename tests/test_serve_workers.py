@@ -422,7 +422,6 @@ class TestScorerPublisher:
 def pool(model_dir):
     server = MultiProcessServer(
         model_dir, port=0, workers=2, refresh_interval=-1,
-        config=WorkerConfig(batch_window_seconds=0.001),
     )
     server.start()
     yield server
@@ -454,14 +453,14 @@ class TestMultiProcessServer:
         assert body["workers"] == 2
         assert body["worker"] in (0, 1)
 
-    def test_queue_depth_gauge_in_exposition(self, pool):
+    def test_models_loaded_gauge_in_exposition(self, pool):
         request = urllib.request.Request(
             pool.url + "/metrics?format=prometheus",
             headers={"Accept": "text/plain"},
         )
         with urllib.request.urlopen(request, timeout=5) as response:
             text = response.read().decode()
-        assert "arcs_serve_queue_depth" in text
+        assert "arcs_serve_models_loaded" in text
 
     def test_drain_joins_workers_and_unlinks_blocks(self, model_dir):
         server = MultiProcessServer(
@@ -552,8 +551,7 @@ class TestFleetTelemetry:
         events_path = tmp_path / "events.jsonl"
         server = MultiProcessServer(
             model_dir, port=0, workers=2, refresh_interval=-1,
-            config=WorkerConfig(batch_window_seconds=0.001,
-                                telemetry_interval=0.1,
+            config=WorkerConfig(telemetry_interval=0.1,
                                 events_out=str(events_path)),
         )
         server.start()
