@@ -51,7 +51,9 @@ import numpy as np  # noqa: E402
 from repro.binning.bin_array import BinArray  # noqa: E402
 from repro.binning.categorical import CategoricalEncoding  # noqa: E402
 from repro.binning.strategies import equi_width_layout  # noqa: E402
+from repro.core.bitop import BitOpClusterer  # noqa: E402
 from repro.core.grid import RuleGrid  # noqa: E402
+from repro.core.merging import merge_clusters  # noqa: E402
 from repro.core.smoothing import neighbourhood_mean  # noqa: E402
 from repro.core.verifier import count_repeat_errors  # noqa: E402
 from repro.core.rules import ClusteredRule, Interval  # noqa: E402
@@ -73,6 +75,8 @@ SIZES = {
     "bitop_masks": (512, 160),
     "scorer": (100_000, 20_000),
     "incremental": (100_000, 20_000),
+    "merge": (24, 24),
+    "bitop_cover": (48, 32),
 }
 
 
@@ -294,6 +298,53 @@ def bench_incremental(n: int, trials: int) -> dict:
     }
 
 
+def bench_merge(n: int, trials: int) -> dict:
+    """Hull-merge BitOp's cover of a seeded n*n salt-and-pepper grid at
+    cover_fraction 0.8: pairwise rescan per merge vs heap + summed-area
+    table."""
+    rng = np.random.default_rng(707)
+    grid = RuleGrid(rng.random((n, n)) < 0.5)
+    clusters = BitOpClusterer().cluster(grid)
+
+    def scalar():
+        return reference.merge_clusters_scalar(clusters, grid, 0.8)
+
+    def vectorized():
+        return merge_clusters(clusters, grid, 0.8)
+
+    assert scalar() == vectorized(), "merge kernels differ"
+    return {
+        "name": "merge",
+        "n": n,
+        "unit": "grid side",
+        "scalar_seconds": best_of(scalar, trials=trials),
+        "vectorized_seconds": best_of(vectorized, trials=trials),
+    }
+
+
+def bench_bitop_cover(n: int, trials: int) -> dict:
+    """Greedy BitOp cover of an n*n checkerboard (one cluster per set
+    cell): re-enumerate the whole grid per cluster vs rescan only the
+    start rows a cleared rectangle touched."""
+    x, y = np.indices((n, n))
+    grid = RuleGrid((x + y) % 2 == 0)
+
+    def scalar():
+        return reference.bitop_cover_scalar(grid)
+
+    def vectorized():
+        return BitOpClusterer().cluster(grid)
+
+    assert scalar() == vectorized(), "bitop cover kernels differ"
+    return {
+        "name": "bitop_cover",
+        "n": n,
+        "unit": "grid side",
+        "scalar_seconds": best_of(scalar, trials=trials),
+        "vectorized_seconds": best_of(vectorized, trials=trials),
+    }
+
+
 BENCHMARKS = {
     "binner": bench_binner,
     "verifier": bench_verifier,
@@ -301,6 +352,8 @@ BENCHMARKS = {
     "bitop_masks": bench_bitop_masks,
     "scorer": bench_scorer,
     "incremental": bench_incremental,
+    "merge": bench_merge,
+    "bitop_cover": bench_bitop_cover,
 }
 
 

@@ -15,7 +15,10 @@ tests against a brute-force maximal-rectangle oracle.
 The full clustering is the paper's greedy set cover: enumerate candidates,
 take the largest, clear its cells, repeat — "such a greedy approach
 produces near optimal clusters" (Cormen et al.), and runs in time linear in
-the size of the final cluster set.
+the size of the final cluster set.  The cover does not re-enumerate the
+whole grid per cluster: each start row caches its best candidate, and a
+cleared rectangle only sends the start rows whose scan read its rows
+back to the scanner.
 
 Two deliberately naive covers (:func:`single_cell_cover`,
 :func:`component_bounding_boxes`) are included as ablation baselines: the
@@ -29,7 +32,7 @@ from __future__ import annotations
 import logging
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -70,42 +73,49 @@ def enumerate_rectangles(rows: Sequence[int]) -> list[GridRect]:
     For each start row, rectangles are emitted exactly when the running
     AND-mask is about to change, so every emitted rectangle is maximal in
     height for its (start row, column run); runs are maximal in width by
-    construction.  Duplicate rectangles arising from different start rows
-    are collapsed.
+    construction.  Each candidate's top edge is its start row, so no two
+    start rows emit the same rectangle.  Returned sorted.
     """
-    candidates: set[GridRect] = set()
-    n_rows = len(rows)
-    for start in range(n_rows):
-        mask = rows[start]
-        if mask == 0:
-            continue
-        height = 1
-        for r in range(start + 1, n_rows):
-            extended = mask & rows[r]
-            if extended != mask:
-                _emit(candidates, mask, start, height)
-                mask = extended
-                if mask == 0:
-                    break
-            height += 1
-        if mask:
-            _emit(candidates, mask, start, height)
+    candidates = _enumerate_from_start_rows(rows, range(len(rows)))
     metrics.inc("bitop.rectangles_enumerated", len(candidates))
-    return sorted(candidates)
+    return candidates
 
 
-def _emit(candidates: set[GridRect], mask: int, start_row: int,
-          height: int) -> None:
+def _scan_start_row(rows: Sequence[int], start: int,
+                    ) -> tuple[list[tuple[int, int, int, int]], int]:
+    """BitOp's AND-scan from one start row.
+
+    Returns the candidates whose top edge is ``start``, as
+    ``(x_lo, x_hi, y_lo, y_hi)`` int tuples, and the last row the scan
+    read.  The candidates depend only on rows ``start`` through that
+    row, which is what lets the greedy cover rescan just the start rows
+    a cleared rectangle touched.
+    """
+    found: list[tuple[int, int, int, int]] = []
+    mask = rows[start]
+    reach = start
+    if mask == 0:
+        return found, reach
+    height = 1
+    for reach in range(start + 1, len(rows)):
+        extended = mask & rows[reach]
+        if extended != mask:
+            _emit(found, mask, start, height)
+            mask = extended
+            if mask == 0:
+                break
+        height += 1
+    if mask:
+        _emit(found, mask, start, height)
+    return found, reach
+
+
+def _emit(found: list[tuple[int, int, int, int]], mask: int,
+          start_row: int, height: int) -> None:
     """Record one rectangle per run of set bits in ``mask``."""
+    x_hi = start_row + height - 1
     for first_bit, length in runs_of_set_bits(mask):
-        candidates.add(
-            GridRect(
-                x_lo=start_row,
-                x_hi=start_row + height - 1,
-                y_lo=first_bit,
-                y_hi=first_bit + length - 1,
-            )
-        )
+        found.append((start_row, x_hi, first_bit, first_bit + length - 1))
 
 
 def largest_rectangle(rows: Sequence[int]) -> GridRect | None:
@@ -148,24 +158,57 @@ class BitOpClusterer:
         if self.min_cells < 1:
             raise ValueError("min_cells must be at least 1")
         with trace("bitop") as span:
-            working = grid.copy()
-            rows = working.row_bitmaps()
-            clusters: list[GridRect] = []
-            while True:
-                if self.max_clusters is not None and (
-                    len(clusters) >= self.max_clusters
-                ):
-                    break
-                best = largest_rectangle(rows)
-                if best is None or best.area < self.min_cells:
-                    break
-                clusters.append(best)
-                _clear_rows(rows, best)
+            clusters = _greedy_cover(
+                grid.row_bitmaps(), self.min_cells, self.max_clusters
+            )
             metrics.inc("bitop.clusters_found", len(clusters))
             span.set("clusters_found", len(clusters))
             logger.debug("BitOp covered the grid with %d rectangles",
                          len(clusters))
         return clusters
+
+
+def _greedy_cover(rows: list[int], min_cells: int,
+                  max_clusters: int | None) -> list[GridRect]:
+    """Take the largest candidate, clear it, repeat — incrementally.
+
+    Each start row caches its best candidate, keyed ``(-area, x_lo,
+    x_hi, y_lo, y_hi)`` so the minimum is :func:`largest_rectangle`'s
+    choice, and the last row its scan read.  Clearing only removes bits,
+    so a cleared rectangle changes the scan of start row ``s`` only when
+    ``s <= x_hi`` and the scan reached ``x_lo``; every other cached best
+    still holds.  Matches the re-enumerate-everything loop of
+    :func:`repro.perf.reference.bitop_cover_scalar` exactly.
+    """
+    best: list[tuple[int, int, int, int, int] | None] = [None] * len(rows)
+    reach = [0] * len(rows)
+    enumerated = 0
+
+    def rescan(start: int) -> None:
+        nonlocal enumerated
+        found, reach[start] = _scan_start_row(rows, start)
+        enumerated += len(found)
+        best[start] = min(
+            ((x_lo - x_hi - 1) * (y_hi - y_lo + 1), x_lo, x_hi, y_lo, y_hi)
+            for x_lo, x_hi, y_lo, y_hi in found
+        ) if found else None
+
+    for start in range(len(rows)):
+        rescan(start)
+    clusters: list[GridRect] = []
+    while max_clusters is None or len(clusters) < max_clusters:
+        top = min((entry for entry in best if entry is not None),
+                  default=None)
+        if top is None or -top[0] < min_cells:
+            break
+        rect = GridRect(*top[1:])
+        clusters.append(rect)
+        _clear_rows(rows, rect)
+        for start in range(rect.x_hi + 1):
+            if reach[start] >= rect.x_lo:
+                rescan(start)
+    metrics.inc("bitop.rectangles_enumerated", enumerated)
+    return clusters
 
 
 def _clear_rows(rows: list[int], rect: GridRect) -> None:
@@ -181,33 +224,19 @@ def _clear_rows(rows: list[int], rect: GridRect) -> None:
 
 
 def _enumerate_from_start_rows(rows: Sequence[int],
-                               start_rows: Sequence[int]) -> list[GridRect]:
+                               start_rows: Iterable[int]) -> list[GridRect]:
     """Enumerate candidates whose top edge lies in ``start_rows``.
 
-    Identical logic to :func:`enumerate_rectangles` restricted to a
-    subset of start rows; the full enumeration is the union over a
-    partition of start rows, which is what makes the algorithm
-    embarrassingly parallel (paper Section 5: "parallel implementations
-    of the algorithm would be straightforward").
+    The full enumeration is the union over a partition of start rows,
+    which is what makes the algorithm embarrassingly parallel (paper
+    Section 5: "parallel implementations of the algorithm would be
+    straightforward").
     """
-    candidates: set[GridRect] = set()
-    n_rows = len(rows)
-    for start in start_rows:
-        mask = rows[start]
-        if mask == 0:
-            continue
-        height = 1
-        for r in range(start + 1, n_rows):
-            extended = mask & rows[r]
-            if extended != mask:
-                _emit(candidates, mask, start, height)
-                mask = extended
-                if mask == 0:
-                    break
-            height += 1
-        if mask:
-            _emit(candidates, mask, start, height)
-    return sorted(candidates)
+    return sorted(
+        GridRect(*candidate)
+        for start in start_rows
+        for candidate in _scan_start_row(rows, start)[0]
+    )
 
 
 def enumerate_rectangles_parallel(rows: Sequence[int],

@@ -17,16 +17,32 @@ guard keeps genuinely separate regions apart — merging only happens when
 the space "between" the fragments is itself rule-dense.  The pass repeats
 greedily, always taking the best-covered merge first, until no admissible
 pair remains.
+
+The pass costs a heap over the cluster pairs, not a rescan per merge.
+One integer summed-area table of the grid makes any hull's set-cell
+count four lookups.  Every initial pair is scored once, a row of
+partners at a time, and the admissible ones go into a heap keyed
+``(-cover, -area, id_i, id_j)``.  Each merge retires its two ids, gives
+the trimmed hull the next id and scores only that hull against the
+survivors; a popped pair with a retired id is skipped.  Survivors keep
+their order and the hull is appended, so id order is list order and the
+heap breaks ties exactly like the pairwise rescan of
+:func:`repro.perf.reference.merge_clusters_scalar`, the oracle this
+function is tested ``==`` against.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
 
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.core.grid import RuleGrid
 from repro.core.rules import GridRect
+from repro.core.smoothing import summed_area_table
 
 logger = logging.getLogger(__name__)
 
@@ -53,48 +69,99 @@ def merge_clusters(clusters: Sequence[GridRect], grid: RuleGrid,
         cells are set.  1.0 only merges hulls that are completely set
         (lossless); lower values tolerate ragged boundaries.
 
-    Returns the consolidated rectangle list.  The result never covers a
+    Returns the consolidated rectangle list: the unmerged clusters in
+    input order, then the merged hulls in the order they were formed.
+    The best-covered admissible pair merges first; ties go to the larger
+    hull, then to the earlier pair.  The result never covers a
     completely unset row or column band at its border: hulls are trimmed
     back to the bounding box of the set cells they contain, so a merge
     cannot stretch a cluster into empty space.
     """
     if not 0.0 < cover_fraction <= 1.0:
         raise ValueError("cover_fraction must be in (0, 1]")
-    merged = [_trim_to_content(grid, rect) for rect in clusters]
-    merged = [rect for rect in merged if rect is not None]
-    while len(merged) > 1:
-        best_pair: tuple[int, int] | None = None
-        best_hull: GridRect | None = None
-        best_cover = cover_fraction
-        for i in range(len(merged)):
-            for j in range(i + 1, len(merged)):
-                hull = merged[i].union_bounding(merged[j])
-                cover = hull_cover_fraction(grid, hull)
-                if cover >= best_cover:
-                    better = (
-                        best_hull is None
-                        or cover > best_cover
-                        or hull.area > best_hull.area
-                    )
-                    if better:
-                        best_pair, best_hull = (i, j), hull
-                        best_cover = cover
-        if best_pair is None or best_hull is None:
-            break
-        i, j = best_pair
-        trimmed = _trim_to_content(grid, best_hull)
-        survivors = [
-            rect for k, rect in enumerate(merged) if k not in (i, j)
-        ]
-        if trimmed is not None:
-            survivors.append(trimmed)
-        merged = survivors
-    if len(merged) != len(clusters):
+    trimmed = [_trim_to_content(grid, rect) for rect in clusters]
+    kept = [
+        (rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi)
+        for rect in trimmed if rect is not None
+    ]
+    n = len(kept)
+    # Row k holds the bounds of cluster id k: the inputs first, then one
+    # hull per merge (there are at most n - 1 merges).
+    bounds = np.zeros((max(2 * n - 1, 1), 4), dtype=np.int64)
+    bounds[:n] = np.asarray(kept, dtype=np.int64).reshape(n, 4)
+    alive = np.zeros(len(bounds), dtype=bool)
+    alive[:n] = True
+    integral = summed_area_table(grid.cells.astype(np.int64))
+    heap = [
+        (neg_cover, neg_area, i, j)
+        for i in range(n - 1)
+        for neg_cover, neg_area, j in _admissible_pairs(
+            integral, bounds, i, np.arange(i + 1, n), cover_fraction
+        )
+    ]
+    heapq.heapify(heap)
+    next_id = n
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        if not (alive[i] and alive[j]):
+            continue
+        alive[i] = alive[j] = False
+        hull = GridRect(
+            int(min(bounds[i, 0], bounds[j, 0])),
+            int(max(bounds[i, 1], bounds[j, 1])),
+            int(min(bounds[i, 2], bounds[j, 2])),
+            int(max(bounds[i, 3], bounds[j, 3])),
+        )
+        # Never None: the hull holds both clusters' set cells.
+        merged = _trim_to_content(grid, hull)
+        bounds[next_id] = (merged.x_lo, merged.x_hi,
+                           merged.y_lo, merged.y_hi)
+        survivors = np.flatnonzero(alive[:next_id])
+        alive[next_id] = True
+        for neg_cover, neg_area, k in _admissible_pairs(
+            integral, bounds, next_id, survivors, cover_fraction
+        ):
+            heapq.heappush(heap, (neg_cover, neg_area, k, next_id))
+        next_id += 1
+    result = [
+        GridRect(*row)
+        for row in bounds[:next_id][alive[:next_id]].tolist()
+    ]
+    if len(result) != len(clusters):
         logger.debug(
             "hull-merged %d clusters into %d (cover_fraction=%g)",
-            len(clusters), len(merged), cover_fraction,
+            len(clusters), len(result), cover_fraction,
         )
-    return merged
+    return result
+
+
+def _admissible_pairs(integral: np.ndarray, bounds: np.ndarray,
+                      anchor: int, partners: np.ndarray,
+                      cover_fraction: float,
+                      ) -> Iterator[tuple[float, int, int]]:
+    """Score the hulls of cluster ``anchor`` with each of ``partners``.
+
+    Yields ``(-cover, -area, partner)`` for every admissible hull.  The
+    cover is the integer set-cell count over the integer area divided in
+    float64: the same correctly rounded ``float(count) / float(area)``
+    that :func:`hull_cover_fraction` returns.
+    """
+    other = bounds[partners]
+    x_lo = np.minimum(bounds[anchor, 0], other[:, 0])
+    x_end = np.maximum(bounds[anchor, 1], other[:, 1]) + 1
+    y_lo = np.minimum(bounds[anchor, 2], other[:, 2])
+    y_end = np.maximum(bounds[anchor, 3], other[:, 3]) + 1
+    counts = (
+        integral[x_end, y_end] - integral[x_lo, y_end]
+        - integral[x_end, y_lo] + integral[x_lo, y_lo]
+    )
+    areas = (x_end - x_lo) * (y_end - y_lo)
+    covers = counts / areas
+    keep = covers >= cover_fraction
+    return zip(
+        (-covers[keep]).tolist(), (-areas[keep]).tolist(),
+        partners[keep].tolist(),
+    )
 
 
 def _trim_to_content(grid: RuleGrid,

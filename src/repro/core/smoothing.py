@@ -28,6 +28,21 @@ from repro.obs import metrics, trace
 logger = logging.getLogger(__name__)
 
 
+def summed_area_table(values: np.ndarray) -> np.ndarray:
+    """The integral image of a 2-D grid, zero-padded on the low edges.
+
+    ``table[i, j]`` is the sum of ``values[:i, :j]`` in ``values``'s own
+    dtype, so the sum over the inclusive block ``[x_lo..x_hi] x
+    [y_lo..y_hi]`` is the four-lookup difference ``table[x_hi+1, y_hi+1]
+    - table[x_lo, y_hi+1] - table[x_hi+1, y_lo] + table[x_lo, y_lo]``.
+    Integer input keeps every block sum exact.
+    """
+    n_x, n_y = values.shape
+    table = np.zeros((n_x + 1, n_y + 1), dtype=values.dtype)
+    table[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+    return table
+
+
 def window_sums(values: np.ndarray, radius: int,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Sliding ``(2*radius+1)`` square window sums and window sizes.
@@ -50,8 +65,7 @@ def window_sums(values: np.ndarray, radius: int,
     if radius < 1:
         raise ValueError("radius must be at least 1")
     n_x, n_y = values.shape
-    integral = np.zeros((n_x + 1, n_y + 1), dtype=np.float64)
-    integral[1:, 1:] = values.cumsum(axis=0).cumsum(axis=1)
+    integral = summed_area_table(values)
     lo_x = np.maximum(np.arange(n_x) - radius, 0)
     hi_x = np.minimum(np.arange(n_x) + radius + 1, n_x)
     lo_y = np.maximum(np.arange(n_y) - radius, 0)

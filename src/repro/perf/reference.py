@@ -2,7 +2,9 @@
 
 Each function here is the straightforward per-tuple / per-cell /
 per-repeat formulation of a kernel that the library proper implements
-with vectorised NumPy.  They exist for two reasons:
+with vectorised NumPy, or the rescan-everything loop of a clustering
+stage (hull merge, BitOp cover) that it implements incrementally.  They
+exist for two reasons:
 
 * **Correctness anchors.**  ``tests/test_perf_equivalence.py`` asserts
   the fast kernels produce *bit-identical* results to these on synthetic
@@ -26,6 +28,10 @@ import numpy as np
 
 from repro.binning.bin_array import BinArray
 from repro.binning.strategies import BinLayout
+from repro.core.bitop import _clear_rows, largest_rectangle
+from repro.core.grid import RuleGrid
+from repro.core.merging import _trim_to_content, hull_cover_fraction
+from repro.core.rules import GridRect
 from repro.core.segmentation import Segmentation
 from repro.data.sampling import repeat_rng, sample_indices
 from repro.data.schema import Table
@@ -325,3 +331,67 @@ def row_bitmaps_scalar(cells: np.ndarray) -> list[int]:
             row_bits |= 1 << int(j)
         rows.append(row_bits)
     return rows
+
+
+def merge_clusters_scalar(clusters: Sequence[GridRect], grid: RuleGrid,
+                          cover_fraction: float = 0.8) -> list[GridRect]:
+    """Pairwise-rescan hull merge: the original
+    :func:`repro.core.merging.merge_clusters`.
+
+    Every round rescans all surviving pairs with a fresh block sum per
+    hull and merges the best one — O(k^3) block sums for k clusters.
+    Keep it to small grids.
+    """
+    if not 0.0 < cover_fraction <= 1.0:
+        raise ValueError("cover_fraction must be in (0, 1]")
+    merged = [_trim_to_content(grid, rect) for rect in clusters]
+    merged = [rect for rect in merged if rect is not None]
+    while len(merged) > 1:
+        best_pair: tuple[int, int] | None = None
+        best_hull: GridRect | None = None
+        best_cover = cover_fraction
+        for i in range(len(merged)):
+            for j in range(i + 1, len(merged)):
+                hull = merged[i].union_bounding(merged[j])
+                cover = hull_cover_fraction(grid, hull)
+                if cover >= best_cover:
+                    better = (
+                        best_hull is None
+                        or cover > best_cover
+                        or hull.area > best_hull.area
+                    )
+                    if better:
+                        best_pair, best_hull = (i, j), hull
+                        best_cover = cover
+        if best_pair is None or best_hull is None:
+            break
+        i, j = best_pair
+        trimmed = _trim_to_content(grid, best_hull)
+        survivors = [
+            rect for k, rect in enumerate(merged) if k not in (i, j)
+        ]
+        if trimmed is not None:
+            survivors.append(trimmed)
+        merged = survivors
+    return merged
+
+
+def bitop_cover_scalar(grid: RuleGrid, min_cells: int = 1,
+                       max_clusters: int | None = None) -> list[GridRect]:
+    """Re-enumerate-everything greedy cover: the original
+    :meth:`repro.core.bitop.BitOpClusterer.cluster` loop.
+
+    Each round enumerates every candidate rectangle of the whole grid,
+    takes :func:`repro.core.bitop.largest_rectangle` and clears it,
+    until the largest has fewer than ``min_cells`` cells or
+    ``max_clusters`` are taken.
+    """
+    rows = grid.row_bitmaps()
+    clusters: list[GridRect] = []
+    while max_clusters is None or len(clusters) < max_clusters:
+        best = largest_rectangle(rows)
+        if best is None or best.area < min_cells:
+            break
+        clusters.append(best)
+        _clear_rows(rows, best)
+    return clusters

@@ -753,6 +753,12 @@ class MultiProcessServer:
         )
         self._socket.bind((host, port))
         self._socket.listen(128)
+        # Every worker wakes on a new connection but only one accepts
+        # it.  On a blocking socket the losers would sit in accept()
+        # and miss their drain command until the next connection;
+        # non-blocking, socketserver reads the BlockingIOError of a
+        # lost race as "no request" and goes back to its select loop.
+        self._socket.setblocking(False)
         self._lock = threading.Lock()
         self._processes: dict[int, multiprocessing.process.BaseProcess]
         self._processes = {}

@@ -1,22 +1,37 @@
 """Equivalence tests: vectorised hot-path kernels vs scalar references.
 
 The fast kernels (bincount binner scatter, matrix-form verifier counts,
-summed-area-table smoothing, packbits row masks) must produce
-*bit-identical* results to the straightforward scalar implementations
-kept in :mod:`repro.perf.reference` — including edge bins, empty inputs
-and empty grids.  The perf-budget harness relies on these pairs agreeing
+summed-area-table smoothing, packbits row masks, the heap hull merge and
+the incremental BitOp cover) must produce *bit-identical* results to the
+straightforward scalar implementations kept in
+:mod:`repro.perf.reference` — including edge bins, empty inputs and
+empty grids.  The perf-budget harness relies on these pairs agreeing
 before it times them.
 """
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
+from repro.binning import bin_table
 from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import equi_width_layout
+from repro.core.bitop import BitOpClusterer
 from repro.core.grid import RuleGrid
-from repro.core.smoothing import neighbourhood_mean, window_sums
+from repro.core.merging import merge_clusters
+from repro.core.rules import GridRect
+from repro.core.smoothing import (
+    neighbourhood_mean,
+    smooth_binary,
+    window_sums,
+)
 from repro.core.verifier import count_repeat_errors
+from repro.mining.engine import rule_pairs
 from repro.perf import reference
 
 
@@ -384,3 +399,144 @@ class TestScorerEquivalence:
             compile_scorer(segmentation).score_batch(empty, empty),
             reference.score_batch_scalar(segmentation, empty, empty),
         )
+
+
+# ----------------------------------------------------------------------
+# Hull merge and BitOp cover: the fast paths are cubic-free rewrites of
+# the scalar loops, so they are held to ``==`` on whole output lists,
+# order included.  The oracles are cubic; keep their grids small.
+# ----------------------------------------------------------------------
+COVER_FRACTIONS = (0.5, 0.75, 0.8, 1.0)
+
+
+@st.composite
+def rule_grids(draw, max_side=20):
+    """Grids of 1..max_side cells per axis at any set-cell density."""
+    n_x = draw(st.integers(1, max_side))
+    n_y = draw(st.integers(1, max_side))
+    density = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return RuleGrid(rng.random((n_x, n_y)) < density)
+
+
+def checkerboard(side):
+    x, y = np.indices((side, side))
+    return RuleGrid((x + y) % 2 == 0)
+
+
+def salt_and_pepper(side, seed=17):
+    return RuleGrid(np.random.default_rng(seed).random((side, side)) < 0.5)
+
+
+@pytest.fixture(scope="module")
+def function2_grids():
+    """Smoothed Function 2 grids of the kind E1 (50k tuples, 50x50 bins,
+    with and without 10% outliers) and E9 (8k tuples, 30x30 bins) cover
+    and merge."""
+    grids = []
+    for n_tuples, outliers, seed, bins, thresholds in (
+        (50_000, 0.0, 42, 50, ((0.0001, 0.5), (0.0001, 0.7))),
+        (50_000, 0.10, 43, 50, ((0.0004, 0.5), (0.0004, 0.7))),
+        (8_000, 0.05, 31, 30, ((0.0004, 0.5), (0.001, 0.5))),
+    ):
+        table = repro.generate_synthetic(repro.SyntheticConfig(
+            n_tuples=n_tuples, function_id=2, perturbation=0.05,
+            outlier_fraction=outliers, seed=seed,
+        ))
+        binner = bin_table(table, "age", "salary", "group", bins, bins)
+        code = binner.rhs_encoding.code_of("A")
+        for min_support, min_confidence in thresholds:
+            pairs = rule_pairs(binner.bin_array, code,
+                               min_support, min_confidence)
+            raw = RuleGrid.from_pairs(pairs, bins, bins)
+            grids.append(smooth_binary(raw))
+    assert all(grid.n_set for grid in grids)
+    return grids
+
+
+class TestMergeEquivalence:
+    def assert_merges_equal(self, clusters, grid, cover_fraction):
+        fast = merge_clusters(clusters, grid, cover_fraction)
+        slow = reference.merge_clusters_scalar(
+            clusters, grid, cover_fraction
+        )
+        assert fast == slow
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_grids(), st.sampled_from(COVER_FRACTIONS))
+    def test_random_grid_covers(self, grid, cover_fraction):
+        clusters = reference.bitop_cover_scalar(grid)
+        self.assert_merges_equal(clusters, grid, cover_fraction)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_grids(max_side=12), st.sampled_from(COVER_FRACTIONS),
+           st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11),
+                              st.integers(0, 11), st.integers(0, 11)),
+                    max_size=12))
+    def test_arbitrary_rectangle_lists(self, grid, cover_fraction,
+                                       corners):
+        """Overlapping, duplicated and empty-underneath rectangles, in
+        any order."""
+        clusters = [
+            GridRect(min(a, b), max(a, b), min(c, d), max(c, d))
+            for a, b, c, d in corners
+            if max(a, b) < grid.n_x and max(c, d) < grid.n_y
+        ]
+        self.assert_merges_equal(clusters, grid, cover_fraction)
+
+    @pytest.mark.parametrize("cover_fraction", COVER_FRACTIONS)
+    def test_function2_grids(self, function2_grids, cover_fraction):
+        for grid in function2_grids:
+            clusters = BitOpClusterer().cluster(grid)
+            self.assert_merges_equal(clusters, grid, cover_fraction)
+
+    @pytest.mark.parametrize("cover_fraction", COVER_FRACTIONS)
+    @pytest.mark.parametrize("grid", [checkerboard(16), salt_and_pepper(16)],
+                             ids=["checkerboard", "salt_and_pepper"])
+    def test_fragmented_grids(self, grid, cover_fraction):
+        clusters = BitOpClusterer().cluster(grid)
+        self.assert_merges_equal(clusters, grid, cover_fraction)
+
+    def test_fragmented_merge_cost_is_bounded(self):
+        """A 32x32 checkerboard covers with 512 single cells, and at
+        cover_fraction 0.5 nearly every pair is admissible: the cubic
+        rescan takes minutes here, the heap merge about a second."""
+        grid = checkerboard(32)
+        clusters = BitOpClusterer().cluster(grid)
+        assert len(clusters) == 512
+        start = time.perf_counter()
+        merged = merge_clusters(clusters, grid, cover_fraction=0.5)
+        assert time.perf_counter() - start < 15.0
+        assert merged
+
+
+class TestBitOpCoverEquivalence:
+    def assert_covers_equal(self, grid, min_cells=1, max_clusters=None):
+        fast = BitOpClusterer(
+            min_cells=min_cells, max_clusters=max_clusters
+        ).cluster(grid)
+        slow = reference.bitop_cover_scalar(grid, min_cells, max_clusters)
+        assert fast == slow
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule_grids(), st.sampled_from((1, 3)))
+    def test_random_grids(self, grid, min_cells):
+        self.assert_covers_equal(grid, min_cells)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule_grids(), st.integers(0, 8))
+    def test_max_clusters_stop(self, grid, max_clusters):
+        self.assert_covers_equal(grid, max_clusters=max_clusters)
+
+    @pytest.mark.parametrize("min_cells", (1, 3))
+    def test_function2_grids(self, function2_grids, min_cells):
+        for grid in function2_grids:
+            self.assert_covers_equal(grid, min_cells)
+
+    @pytest.mark.parametrize("min_cells", (1, 3))
+    @pytest.mark.parametrize("grid", [checkerboard(16), salt_and_pepper(16)],
+                             ids=["checkerboard", "salt_and_pepper"])
+    def test_fragmented_grids(self, grid, min_cells):
+        self.assert_covers_equal(grid, min_cells)
+        self.assert_covers_equal(grid, min_cells, max_clusters=5)

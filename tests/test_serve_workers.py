@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import re
 import signal
+import socket
 import struct
 import threading
 import time
@@ -32,6 +33,7 @@ from repro.persistence import save_segmentation
 from repro.serve import (
     ModelRegistry,
     MultiProcessServer,
+    PredictionService,
     SharedScorerCache,
     WorkerConfig,
     WorkerError,
@@ -39,6 +41,7 @@ from repro.serve import (
 )
 from repro.serve.workers import (
     ScorerPublisher,
+    _AdoptedSocketServer,
     _close_mapping_when_views_die,
     attach_scorer,
     block_name,
@@ -432,6 +435,40 @@ class TestMultiProcessServer:
     def test_rejects_bad_worker_count(self, model_dir):
         with pytest.raises(WorkerError, match="at least 1"):
             MultiProcessServer(model_dir, port=0, workers=0)
+
+    def test_worker_that_loses_the_accept_race_returns(self, model_dir):
+        """All workers wake on a connection, one accepts it.  A loser
+        must go back to its select loop (where it sees drain commands)
+        instead of blocking in accept() until the next connection."""
+        server = MultiProcessServer(
+            model_dir, port=0, workers=1, refresh_interval=-1,
+        )
+        listen_socket = server._socket
+        adopted = _AdoptedSocketServer(
+            listen_socket,
+            PredictionService(
+                ModelRegistry(model_dir, refresh_interval=-1).load()
+            ),
+        )
+        attempt = threading.Thread(
+            target=adopted._handle_request_noblock, daemon=True,
+        )
+        try:
+            assert listen_socket.getblocking() is False
+            attempt.start()
+            attempt.join(timeout=1.0)
+            assert not attempt.is_alive(), (
+                "accept() blocked with no pending connection"
+            )
+        finally:
+            if attempt.is_alive():
+                # Release the stuck accept() so the thread can finish.
+                with socket.create_connection(
+                    listen_socket.getsockname()[:2], timeout=5
+                ):
+                    pass
+                attempt.join(timeout=5.0)
+            server.drain(timeout=5.0)
 
     def test_serves_predictions_bit_identical(self, pool,
                                               segmentation):
