@@ -14,84 +14,31 @@ quantifies how tight.  The MDL scorer consumes the mean error count.
 
 Hot path
 --------
-Cluster coverage and target membership are computed **once per
-segmentation** as boolean vectors over the full table; every repeat is
-then a pure gather + popcount, and all repeats are evaluated together as
-one ``(repeats, k)`` array operation (:func:`count_repeat_errors`).
-
-Each repeat draws its indices from its own deterministic generator
-(:func:`repro.data.sampling.repeat_rng`), so the estimate for a fixed
-seed does not depend on *where* the repeat runs.  That is what makes the
-opt-in ``workers=N`` mode — repeats fanned out over a process pool —
-bit-identical to the serial path.
+The samples are drawn **once per verifier**: repeat ``r``'s indices are
+a pure function of ``(seed, r, n, k)``
+(:func:`repro.data.sampling.repeat_indices`), so construction gathers
+the ``(repeats, k)`` target mask up front, and each LHS column the first
+time a segmentation names it.  A :meth:`Verifier.verify` call then
+covers only those ``repeats * k`` points — its cost does not grow with
+the table.  Coverage and target membership are element-wise, so the
+report equals the one a full-table pass followed by a gather gives
+(:func:`repro.perf.reference.verify_scalar`).
 """
 
 from __future__ import annotations
 
 import logging
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.segmentation import Segmentation
-from repro.data.sampling import mean_and_stderr, repeat_rng, sample_indices
+from repro.data.sampling import mean_and_stderr, repeat_indices
 from repro.data.schema import Table
 from repro.obs import metrics, trace
 
 logger = logging.getLogger(__name__)
-
-
-def count_repeat_errors(covered: np.ndarray, is_target: np.ndarray,
-                        sample_size: int, seed: int,
-                        repeat_ids: Sequence[int],
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """FP and FN counts for a batch of repeats, as one array operation.
-
-    ``covered``/``is_target`` are full-table boolean vectors; repeat ``r``
-    draws its ``sample_size`` indices from ``repeat_rng(seed, r)``.  All
-    the batch's samples are gathered into one ``(repeats, k)`` matrix and
-    the per-repeat counts fall out of two vectorised comparisons.
-
-    This function is the unit of work the parallel verifier ships to a
-    worker process; because seeding is per repeat, any partition of
-    ``repeat_ids`` over any number of processes produces the same counts.
-    Returns ``(fp_counts, fn_counts)`` aligned with ``repeat_ids``.
-    """
-    n = len(covered)
-    indices = np.stack([
-        sample_indices(n, sample_size, repeat_rng(seed, repeat))
-        for repeat in repeat_ids
-    ])
-    sample_covered = covered[indices]
-    sample_target = is_target[indices]
-    fp_counts = np.count_nonzero(sample_covered & ~sample_target, axis=1)
-    fn_counts = np.count_nonzero(~sample_covered & sample_target, axis=1)
-    return fp_counts.astype(np.int64), fn_counts.astype(np.int64)
-
-
-def _count_block_with_metrics(covered: np.ndarray, is_target: np.ndarray,
-                              sample_size: int, seed: int,
-                              repeat_ids: Sequence[int],
-                              ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Worker-side wrapper: counts plus a metrics snapshot.
-
-    A pool worker cannot see the parent's metrics registry, so it
-    records its share of the verifier counters on a local registry and
-    ships the snapshot home with the results; the parent merges it into
-    its own registry (:meth:`MetricsRegistry.merge_snapshot`), keeping
-    serial and parallel runs metric-identical.
-    """
-    registry = metrics.MetricsRegistry()
-    registry.inc("verifier.samples_drawn", len(repeat_ids))
-    registry.inc("verifier.tuples_sampled",
-                 len(repeat_ids) * sample_size)
-    fp_counts, fn_counts = count_repeat_errors(
-        covered, is_target, sample_size, seed, repeat_ids
-    )
-    return fp_counts, fn_counts, registry.snapshot()
 
 
 def target_mask(labels: np.ndarray, target_value) -> np.ndarray:
@@ -130,14 +77,19 @@ class VerificationReport:
         return self.mean_false_positives + self.mean_false_negatives
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verifier:
     """Estimates segmentation error on samples of one source table.
+
+    The verifier is frozen because it caches its samples at
+    construction: changing ``table``, ``seed`` or ``repeats`` afterwards
+    would leave them stale.
 
     Parameters
     ----------
     table:
         The source data, carrying the LHS columns and the group column.
+        Must not be empty.
     rhs_attribute, target_value:
         The criterion: rows with ``table[rhs_attribute] == target_value``
         belong to the segment being verified.
@@ -148,14 +100,7 @@ class Verifier:
     seed:
         RNG seed; a fixed verifier gives identical estimates for identical
         segmentations, which keeps the optimizer's search deterministic.
-        Repeat ``r`` always draws from ``repeat_rng(seed, r)``, so the
-        estimate is independent of the ``workers`` setting.
-    workers:
-        Number of processes the repeats are fanned out over.  The default
-        of 1 stays in-process (and is fastest below roughly a million
-        tuples — coverage vectors must be shipped to workers); larger
-        values split the repeats into contiguous blocks over a process
-        pool and give a bit-identical report.
+        Repeat ``r`` always draws from ``repeat_rng(seed, r)``.
     """
 
     table: Table
@@ -164,51 +109,58 @@ class Verifier:
     sample_size: int = 1000
     repeats: int = 5
     seed: int = 0
-    workers: int = 1
+    _indices: np.ndarray = field(init=False, repr=False, compare=False)
+    _sample_target: np.ndarray = field(init=False, repr=False,
+                                       compare=False)
+    _sample_columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sample_size <= 0:
             raise ValueError("sample_size must be positive")
         if self.repeats <= 0:
             raise ValueError("repeats must be positive")
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
-        self.sample_size = min(self.sample_size, len(self.table))
+        n = len(self.table)
+        if n == 0:
+            raise ValueError("cannot verify against an empty table")
+        sample_size = min(self.sample_size, n)
+        indices = repeat_indices(n, sample_size, self.seed,
+                                 range(self.repeats))
+        # target_mask sees a 1-D array, so its scalar fallback iterates
+        # labels, not rows.
+        labels = self.table.column(self.rhs_attribute)[indices.ravel()]
+        sample_target = target_mask(
+            labels, self.target_value
+        ).reshape(indices.shape)
+        object.__setattr__(self, "sample_size", sample_size)
+        object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "_sample_target", sample_target)
+        object.__setattr__(self, "_sample_columns", {})
 
-    # ------------------------------------------------------------------
-    # Coverage precomputation (once per segmentation)
-    # ------------------------------------------------------------------
-    def _coverage(self, segmentation: Segmentation,
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Full-table cluster-coverage and target-membership vectors."""
-        covered = segmentation.covers(
-            self.table.column(segmentation.x_attribute),
-            self.table.column(segmentation.y_attribute),
-        )
-        is_target = target_mask(
-            self.table.column(self.rhs_attribute), self.target_value
-        )
-        return covered, is_target
+    def _sample_column(self, name: str) -> np.ndarray:
+        """The ``(repeats, k)`` sample of one LHS column, gathered the
+        first time a segmentation names it."""
+        column = self._sample_columns.get(name)
+        if column is None:
+            column = np.asarray(
+                self.table.column(name)[self._indices], dtype=np.float64
+            )
+            self._sample_columns[name] = column
+        return column
 
     def verify(self, segmentation: Segmentation) -> VerificationReport:
         """Estimate the segmentation's error by repeated sampling."""
         with trace("verify", sample_size=self.sample_size,
-                   repeats=self.repeats, workers=self.workers) as span:
-            covered, is_target = self._coverage(segmentation)
-            if self.workers == 1 or self.repeats == 1:
-                fp_counts, fn_counts = count_repeat_errors(
-                    covered, is_target, self.sample_size, self.seed,
-                    range(self.repeats),
-                )
-                metrics.inc("verifier.samples_drawn", self.repeats)
-                metrics.inc("verifier.tuples_sampled",
-                            self.repeats * self.sample_size)
-            else:
-                # The workers record their share of the sampling
-                # counters; totals match the serial branch exactly.
-                fp_counts, fn_counts = self._count_parallel(
-                    covered, is_target
-                )
+                   repeats=self.repeats) as span:
+            covered = segmentation.covers(
+                self._sample_column(segmentation.x_attribute),
+                self._sample_column(segmentation.y_attribute),
+            )
+            is_target = self._sample_target
+            fp_counts = np.count_nonzero(covered & ~is_target, axis=1)
+            fn_counts = np.count_nonzero(~covered & is_target, axis=1)
+            metrics.inc("verifier.samples_drawn", self.repeats)
+            metrics.inc("verifier.tuples_sampled",
+                        self.repeats * self.sample_size)
             rates = (fp_counts + fn_counts) / float(self.sample_size)
             mean_rate, stderr = mean_and_stderr(rates)
             span.set("error_rate", mean_rate)
@@ -226,52 +178,15 @@ class Verifier:
             error_rate_stderr=stderr,
         )
 
-    def _count_parallel(self, covered: np.ndarray, is_target: np.ndarray,
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        """Fan the repeats out over a process pool.
-
-        Repeats are split into contiguous blocks (one per worker); the
-        per-repeat seeding makes the concatenated result identical to the
-        serial path no matter how the blocks land on processes.  A worker
-        failure (crash, OOM-kill, unpicklable state) surfaces as a
-        :class:`RuntimeError` naming the repeat block instead of hanging.
-        """
-        workers = min(self.workers, self.repeats)
-        blocks = np.array_split(np.arange(self.repeats), workers)
-        fp_parts: list[np.ndarray] = []
-        fn_parts: list[np.ndarray] = []
-        registry = metrics.active()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _count_block_with_metrics, covered, is_target,
-                    self.sample_size, self.seed, block.tolist(),
-                )
-                for block in blocks
-            ]
-            for block, future in zip(blocks, futures):
-                try:
-                    fp_block, fn_block, snapshot = future.result()
-                except Exception as error:
-                    raise RuntimeError(
-                        f"parallel verification failed on repeats "
-                        f"{block[0]}..{block[-1]} "
-                        f"({type(error).__name__}: {error}); rerun with "
-                        f"workers=1 to isolate"
-                    ) from error
-                fp_parts.append(fp_block)
-                fn_parts.append(fn_block)
-                if registry is not None:
-                    registry.merge_snapshot(snapshot)
-        metrics.inc("verifier.parallel_batches", len(blocks))
-        return np.concatenate(fp_parts), np.concatenate(fn_parts)
-
     def exact_error_rate(self, segmentation: Segmentation) -> float:
         """Full-table FP+FN rate (no sampling) — the ground truth the
         sampled estimate approximates; used by tests and the figure
         benchmarks where determinism matters more than speed."""
         with trace("verify.exact", tuples=len(self.table)) as span:
-            covered, is_target = self._coverage(segmentation)
+            covered = segmentation.covers_table(self.table)
+            is_target = target_mask(
+                self.table.column(self.rhs_attribute), self.target_value
+            )
             errors = np.count_nonzero(
                 covered & ~is_target
             ) + np.count_nonzero(~covered & is_target)

@@ -9,7 +9,7 @@ sets; the verifier owns the error computation.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,8 +19,8 @@ def repeat_rng(seed: int, repeat: int) -> np.random.Generator:
 
     Seeding each repeat independently (rather than drawing repeats from
     one sequential stream) makes repeat ``r``'s sample a pure function of
-    ``(seed, r)`` — so a batch of repeats can be partitioned over worker
-    processes in any way and still reproduce the serial draw exactly.
+    ``(seed, r)`` — so any subset or order of repeats reproduces the
+    same per-repeat draws.
     """
     if repeat < 0:
         raise ValueError("repeat index must be non-negative")
@@ -34,6 +34,21 @@ def sample_indices(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     return rng.choice(n, size=k, replace=False)
+
+
+def repeat_indices(n: int, k: int, seed: int,
+                   repeat_ids: Sequence[int]) -> np.ndarray:
+    """The ``(len(repeat_ids), k)`` index matrix of a seeded experiment.
+
+    Row ``i`` is repeat ``repeat_ids[i]``'s k-of-n sample, drawn from
+    ``repeat_rng(seed, repeat_ids[i])`` — a pure function of
+    ``(seed, repeat, n, k)``, whatever else is in the batch.  This is
+    the one place the verifier's sampling rule lives.
+    """
+    return np.stack([
+        sample_indices(n, k, repeat_rng(seed, repeat))
+        for repeat in repeat_ids
+    ])
 
 
 def repeated_k_of_n(n: int, k: int, repeats: int,

@@ -166,9 +166,6 @@ METRICS: dict[str, tuple[str, str]] = {
     'stream.window_tuples':
         ('gauge',
          'tuples currently contributing to the windowed BinArray'),
-    'verifier.parallel_batches':
-        ('counter',
-         'repeat blocks dispatched to the verifier worker pool'),
     'verifier.samples_drawn':
         ('counter',
          'k-of-n samples drawn'),

@@ -12,16 +12,20 @@ from repro.perf.reference import (
     add_chunk_scalar,
     assign_bins_scalar,
     consume_scalar,
+    count_repeat_errors,
     count_repeat_errors_scalar,
     neighbourhood_mean_scalar,
     row_bitmaps_scalar,
+    verify_scalar,
 )
 
 __all__ = [
     "add_chunk_scalar",
     "assign_bins_scalar",
     "consume_scalar",
+    "count_repeat_errors",
     "count_repeat_errors_scalar",
     "neighbourhood_mean_scalar",
     "row_bitmaps_scalar",
+    "verify_scalar",
 ]

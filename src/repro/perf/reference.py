@@ -33,7 +33,12 @@ from repro.core.grid import RuleGrid
 from repro.core.merging import _trim_to_content, hull_cover_fraction
 from repro.core.rules import GridRect
 from repro.core.segmentation import Segmentation
-from repro.data.sampling import repeat_rng, sample_indices
+from repro.core.verifier import (
+    VerificationReport,
+    Verifier,
+    target_mask,
+)
+from repro.data.sampling import mean_and_stderr, repeat_indices
 from repro.data.schema import Table
 
 
@@ -133,21 +138,41 @@ def consume_scalar(binner, chunk: Table) -> None:
     add_chunk_scalar(binner.bin_array, x_bins, y_bins, rhs_codes)
 
 
+def count_repeat_errors(covered: np.ndarray, is_target: np.ndarray,
+                        sample_size: int, seed: int,
+                        repeat_ids: Sequence[int],
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """FP and FN counts for a batch of repeats over full-table vectors.
+
+    ``covered``/``is_target`` are full-table boolean vectors; repeat
+    ``repeat_ids[i]`` samples row ``i`` of
+    :func:`repro.data.sampling.repeat_indices`.  All the batch's samples are gathered into one ``(repeats, k)`` matrix and
+    the per-repeat counts fall out of two vectorised comparisons.  This
+    is the counting half of :func:`verify_scalar`.  Returns
+    ``(fp_counts, fn_counts)`` aligned with ``repeat_ids``.
+    """
+    indices = repeat_indices(len(covered), sample_size, seed, repeat_ids)
+    sample_covered = covered[indices]
+    sample_target = is_target[indices]
+    fp_counts = np.count_nonzero(sample_covered & ~sample_target, axis=1)
+    fn_counts = np.count_nonzero(~sample_covered & sample_target, axis=1)
+    return fp_counts.astype(np.int64), fn_counts.astype(np.int64)
+
+
 def count_repeat_errors_scalar(covered: np.ndarray, is_target: np.ndarray,
                                sample_size: int, seed: int,
                                repeat_ids: Sequence[int],
                                ) -> tuple[np.ndarray, np.ndarray]:
     """Per-repeat, per-tuple FP/FN counting (the pre-vectorization loop).
 
-    Same sampling discipline as
-    :func:`repro.core.verifier.count_repeat_errors` — repeat ``r`` draws
-    from ``repeat_rng(seed, r)`` — so the counts must match it exactly.
+    Same sampling discipline as :func:`count_repeat_errors` — repeat
+    ``r`` draws from ``repeat_rng(seed, r)`` — so the counts must match
+    it exactly.
     """
-    n = len(covered)
+    samples = repeat_indices(len(covered), sample_size, seed, repeat_ids)
     fp_counts = np.zeros(len(repeat_ids), dtype=np.int64)
     fn_counts = np.zeros(len(repeat_ids), dtype=np.int64)
-    for position, repeat in enumerate(repeat_ids):
-        indices = sample_indices(n, sample_size, repeat_rng(seed, repeat))
+    for position, indices in enumerate(samples):
         false_positives = 0
         false_negatives = 0
         for index in indices:
@@ -160,6 +185,36 @@ def count_repeat_errors_scalar(covered: np.ndarray, is_target: np.ndarray,
         fp_counts[position] = false_positives
         fn_counts[position] = false_negatives
     return fp_counts, fn_counts
+
+
+def verify_scalar(verifier: Verifier,
+                  segmentation: Segmentation) -> VerificationReport:
+    """:meth:`Verifier.verify` as a full-table pass per call.
+
+    Covers every row of the table and builds the full target mask, then
+    gathers the sampled entries (:func:`count_repeat_errors`).  Coverage
+    and target membership are element-wise, so the report must equal
+    :meth:`Verifier.verify`'s exactly.
+    """
+    table = verifier.table
+    covered = segmentation.covers_table(table)
+    is_target = target_mask(
+        table.column(verifier.rhs_attribute), verifier.target_value
+    )
+    fp_counts, fn_counts = count_repeat_errors(
+        covered, is_target, verifier.sample_size, verifier.seed,
+        range(verifier.repeats),
+    )
+    rates = (fp_counts + fn_counts) / float(verifier.sample_size)
+    mean_rate, stderr = mean_and_stderr(rates)
+    return VerificationReport(
+        mean_false_positives=float(np.mean(fp_counts)),
+        mean_false_negatives=float(np.mean(fn_counts)),
+        sample_size=verifier.sample_size,
+        repeats=verifier.repeats,
+        error_rate=mean_rate,
+        error_rate_stderr=stderr,
+    )
 
 
 def neighbourhood_mean_scalar(values: np.ndarray,

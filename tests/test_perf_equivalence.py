@@ -1,6 +1,6 @@
 """Equivalence tests: vectorised hot-path kernels vs scalar references.
 
-The fast kernels (bincount binner scatter, matrix-form verifier counts,
+The fast kernels (bincount binner scatter, the sampled-once verifier,
 summed-area-table smoothing, packbits row masks, the heap hull merge and
 the incremental BitOp cover) must produce *bit-identical* results to the
 straightforward scalar implementations kept in
@@ -21,16 +21,20 @@ from repro.binning import bin_table
 from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import equi_width_layout
+from repro.core.arcs import ARCS, ARCSConfig
 from repro.core.bitop import BitOpClusterer
 from repro.core.grid import RuleGrid
 from repro.core.merging import merge_clusters
-from repro.core.rules import GridRect
+from repro.core.optimizer import OptimizerConfig
+from repro.core.rules import ClusteredRule, GridRect, Interval
+from repro.core.segmentation import Segmentation
 from repro.core.smoothing import (
     neighbourhood_mean,
     smooth_binary,
     window_sums,
 )
-from repro.core.verifier import count_repeat_errors
+from repro.core.verifier import Verifier
+from repro.data.schema import Table, categorical, quantitative
 from repro.mining.engine import rule_pairs
 from repro.perf import reference
 
@@ -183,7 +187,7 @@ class TestVerifierEquivalence:
         slow = reference.count_repeat_errors_scalar(
             covered, is_target, 150, seed=9, repeat_ids=range(8)
         )
-        fast = count_repeat_errors(
+        fast = reference.count_repeat_errors(
             covered, is_target, 150, seed=9, repeat_ids=range(8)
         )
         assert np.array_equal(slow[0], fast[0])
@@ -196,7 +200,7 @@ class TestVerifierEquivalence:
             slow = reference.count_repeat_errors_scalar(
                 covered, is_target, n, seed=0, repeat_ids=range(3)
             )
-            fast = count_repeat_errors(
+            fast = reference.count_repeat_errors(
                 covered, is_target, n, seed=0, repeat_ids=range(3)
             )
             assert np.array_equal(slow[0], fast[0])
@@ -204,19 +208,178 @@ class TestVerifierEquivalence:
 
     def test_repeat_ids_are_position_independent(self):
         """Repeat r draws the same sample whether computed alone or in a
-        batch — the property the parallel fan-out relies on."""
+        batch — the property that lets a verifier draw every repeat once
+        at construction."""
         rng = np.random.default_rng(5)
         covered = rng.random(800) < 0.5
         is_target = rng.random(800) < 0.5
-        batched = count_repeat_errors(
+        batched = reference.count_repeat_errors(
             covered, is_target, 100, seed=3, repeat_ids=range(6)
         )
         for repeat in range(6):
-            alone = count_repeat_errors(
+            alone = reference.count_repeat_errors(
                 covered, is_target, 100, seed=3, repeat_ids=[repeat]
             )
             assert alone[0][0] == batched[0][repeat]
             assert alone[1][0] == batched[1][repeat]
+
+
+# ----------------------------------------------------------------------
+# Verifier.verify samples once at construction; verify_scalar covers the
+# whole table per call and then gathers.  Coverage and target membership
+# are element-wise, so the two reports must be ``==``.
+# ----------------------------------------------------------------------
+LHS_ATTRIBUTES = ("age", "salary", "loan")
+
+
+def verification_table(n, seed, labels=("A", "B", "other")):
+    """n tuples on a coarse value lattice, so interval edges are hit."""
+    rng = np.random.default_rng(seed)
+    specs = [quantitative(name, 0, 100) for name in LHS_ATTRIBUTES]
+    specs.append(categorical("group", labels))
+    columns = {
+        name: rng.integers(0, 101, n).astype(np.float64)
+        for name in LHS_ATTRIBUTES
+    }
+    columns["group"] = [labels[i] for i in rng.integers(0, len(labels), n)]
+    return Table.from_columns(specs, columns)
+
+
+@st.composite
+def intervals(draw):
+    """Overlapping, edge-aligned, out-of-domain and whole-domain
+    intervals, half-open or closed above."""
+    low = draw(st.sampled_from((-50.0, 0.0, 10.0, 25.0, 50.0, 99.0, 100.0,
+                                150.0)))
+    width = draw(st.sampled_from((1e-9, 1.0, 15.0, 50.0, 100.0, 1000.0)))
+    return Interval(low, low + width, closed_high=draw(st.booleans()))
+
+
+@st.composite
+def segmentations(draw, x_attribute="age", y_attribute="salary",
+                  rhs_value="A"):
+    rules = tuple(
+        ClusteredRule(x_attribute, y_attribute, draw(intervals()),
+                      draw(intervals()), "group", rhs_value,
+                      support=0.1, confidence=0.9)
+        for _ in range(draw(st.integers(0, 6)))
+    )
+    return Segmentation(rules=rules, x_attribute=x_attribute,
+                        y_attribute=y_attribute, rhs_attribute="group",
+                        rhs_value=rhs_value)
+
+
+class _Label:
+    """A label whose ``__eq__`` answers arrays with one bool, so
+    ``target_mask`` has to take its scalar fallback."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, key):
+        self.key = key
+
+    def __eq__(self, other):
+        return isinstance(other, _Label) and self.key == other.key
+
+
+class TestVerifyEquivalence:
+    def assert_reports_equal(self, verifier, segmentation):
+        assert verifier.verify(segmentation) == reference.verify_scalar(
+            verifier, segmentation
+        )
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1),
+           segmentations(), st.integers(1, 1500), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_random_tables_and_segmentations(self, n, table_seed,
+                                             segmentation, sample_size,
+                                             repeats, seed):
+        verifier = Verifier(verification_table(n, table_seed), "group",
+                            "A", sample_size=sample_size, repeats=repeats,
+                            seed=seed)
+        self.assert_reports_equal(verifier, segmentation)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 300), segmentations())
+    def test_sample_size_clamped_to_table(self, n, segmentation):
+        verifier = Verifier(verification_table(n, n), "group", "A",
+                            sample_size=n + 7, repeats=3, seed=n)
+        assert verifier.sample_size == n
+        self.assert_reports_equal(verifier, segmentation)
+
+    @settings(max_examples=30, deadline=None)
+    @given(segmentations(), st.integers(0, 1000))
+    def test_single_repeat(self, segmentation, seed):
+        verifier = Verifier(verification_table(500, 3), "group", "A",
+                            sample_size=120, repeats=1, seed=seed)
+        report = verifier.verify(segmentation)
+        assert report.error_rate_stderr == 0.0
+        assert report == reference.verify_scalar(verifier, segmentation)
+
+    @settings(max_examples=30, deadline=None)
+    @given(segmentations(rhs_value=_Label("A")))
+    def test_scalar_target_fallback(self, segmentation):
+        labels = (_Label("A"), _Label("B"), _Label("other"))
+        table = verification_table(900, 8, labels=labels)
+        verifier = Verifier(table, "group", _Label("A"),
+                            sample_size=200, repeats=4, seed=2)
+        self.assert_reports_equal(verifier, segmentation)
+
+    @settings(max_examples=30, deadline=None)
+    @given(segmentations("age", "salary"), segmentations("loan", "age"),
+           segmentations("salary", "loan"))
+    def test_unseen_attributes(self, first, second, third):
+        """Segmentations over attribute pairs the verifier has not
+        gathered yet still match the full-table pass."""
+        verifier = Verifier(verification_table(2000, 4), "group", "A",
+                            sample_size=300, repeats=5, seed=6)
+        for segmentation in (first, second, third):
+            self.assert_reports_equal(verifier, segmentation)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(
+        st.one_of(segmentations("age", "salary"),
+                  segmentations("loan", "age"),
+                  segmentations("salary", "loan")),
+        min_size=2, max_size=6,
+    ))
+    def test_call_order_does_not_matter(self, series):
+        """The lazy column cache carries no state between calls: one
+        verifier reports the same whichever order it sees a series in."""
+        table = verification_table(1500, 5)
+        forward = Verifier(table, "group", "A", sample_size=250,
+                           repeats=4, seed=9)
+        backward = Verifier(table, "group", "A", sample_size=250,
+                            repeats=4, seed=9)
+        in_order = [forward.verify(seg) for seg in series]
+        reversed_ = [backward.verify(seg) for seg in reversed(series)]
+        assert in_order == reversed_[::-1]
+
+    @pytest.mark.parametrize("outliers, seed", [(0.0, 42), (0.10, 43)])
+    def test_function2_fits(self, monkeypatch, outliers, seed):
+        """Every trial of an E1 fit (Function 2, 50k tuples) verifies
+        to the report the full-table pass gives."""
+        table = repro.generate_synthetic(repro.SyntheticConfig(
+            n_tuples=50_000, function_id=2, perturbation=0.05,
+            outlier_fraction=outliers, seed=seed,
+        ))
+        verify = Verifier.verify
+        checked = []
+
+        def checked_verify(verifier, segmentation):
+            report = verify(verifier, segmentation)
+            assert report == reference.verify_scalar(verifier, segmentation)
+            checked.append(len(segmentation))
+            return report
+
+        monkeypatch.setattr(Verifier, "verify", checked_verify)
+        config = ARCSConfig(optimizer=OptimizerConfig(
+            max_support_levels=6, max_confidence_levels=10,
+        ))
+        result = ARCS(config).fit(table, "age", "salary", "group", "A")
+        assert len(result.segmentation) == 3
+        assert len(checked) > 10 and max(checked) > 0
 
 
 class TestSmoothingEquivalence:
@@ -343,7 +506,7 @@ class TestDriftEquivalence:
 
 class TestScorerEquivalence:
     def _segmentation(self, rng, n_rules=12):
-        from repro.core.rules import ClusteredRule, Interval
+        from repro.core.rules import ClusteredRule, GridRect, Interval
         from repro.core.segmentation import Segmentation
 
         rules = []
