@@ -32,7 +32,7 @@ from __future__ import annotations
 import logging
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -76,7 +76,11 @@ def enumerate_rectangles(rows: Sequence[int]) -> list[GridRect]:
     construction.  Each candidate's top edge is its start row, so no two
     start rows emit the same rectangle.  Returned sorted.
     """
-    candidates = _enumerate_from_start_rows(rows, range(len(rows)))
+    candidates = sorted(
+        GridRect(*candidate)
+        for start in range(len(rows))
+        for candidate in _scan_start_row(rows, start)[0]
+    )
     metrics.inc("bitop.rectangles_enumerated", len(candidates))
     return candidates
 
@@ -221,54 +225,6 @@ def _clear_rows(rows: list[int], rect: GridRect) -> None:
     clear = ~span_mask
     for i in range(rect.x_lo, rect.x_hi + 1):
         rows[i] &= clear
-
-
-def _enumerate_from_start_rows(rows: Sequence[int],
-                               start_rows: Iterable[int]) -> list[GridRect]:
-    """Enumerate candidates whose top edge lies in ``start_rows``.
-
-    The full enumeration is the union over a partition of start rows,
-    which is what makes the algorithm embarrassingly parallel (paper
-    Section 5: "parallel implementations of the algorithm would be
-    straightforward").
-    """
-    return sorted(
-        GridRect(*candidate)
-        for start in start_rows
-        for candidate in _scan_start_row(rows, start)[0]
-    )
-
-
-def enumerate_rectangles_parallel(rows: Sequence[int],
-                                  workers: int = 2) -> list[GridRect]:
-    """Parallel candidate enumeration (the Section 5 future-work item).
-
-    Start rows are independent, so they are partitioned round-robin
-    across a process pool and the per-worker candidate sets are merged.
-    Produces exactly :func:`enumerate_rectangles`'s output (asserted in
-    tests).  Worth it only for large grids — per-process start-up
-    dominates on the paper's 50x50 bitmaps, which is why the serial
-    path stays the default.
-    """
-    if workers <= 0:
-        raise ValueError("workers must be positive")
-    if workers == 1 or len(rows) < 2 * workers:
-        return enumerate_rectangles(rows)
-    from concurrent.futures import ProcessPoolExecutor
-
-    rows = list(rows)
-    partitions = [
-        list(range(shard, len(rows), workers)) for shard in range(workers)
-    ]
-    merged: set[GridRect] = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_enumerate_from_start_rows, rows, partition)
-            for partition in partitions
-        ]
-        for future in futures:
-            merged.update(future.result())
-    return sorted(merged)
 
 
 # ----------------------------------------------------------------------

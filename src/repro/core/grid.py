@@ -12,6 +12,7 @@ literal machine/bigint operations here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,10 +56,21 @@ class RuleGrid:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], n_x: int,
                    n_y: int) -> "RuleGrid":
-        """Plot raw ``(i, j)`` pairs (the engine's output form)."""
+        """Plot raw ``(i, j)`` pairs (the engine's output form).
+
+        All cells are set with one fancy-index assignment after one
+        vectorised bounds check; a negative or too-large index raises
+        :class:`ValueError` naming the first such pair.
+        """
         grid = cls.empty(n_x, n_y)
-        for i, j in pairs:
-            grid.cells[i, j] = True
+        cells = np.fromiter(chain.from_iterable(pairs),
+                            dtype=np.intp).reshape(-1, 2)
+        rows, cols = cells[:, 0], cells[:, 1]
+        outside = (rows < 0) | (rows >= n_x) | (cols < 0) | (cols >= n_y)
+        if outside.any():
+            i, j = cells[outside.argmax()].tolist()
+            raise ValueError(f"rule cell ({i}, {j}) outside {n_x}x{n_y} grid")
+        grid.cells[rows, cols] = True
         return grid
 
     # ------------------------------------------------------------------

@@ -19,9 +19,13 @@ greedily, always taking the best-covered merge first, until no admissible
 pair remains.
 
 The pass costs a heap over the cluster pairs, not a rescan per merge.
-One integer summed-area table of the grid makes any hull's set-cell
-count four lookups.  Every initial pair is scored once, a row of
-partners at a time, and the admissible ones go into a heap keyed
+One integer summed-area table of the grid makes any rectangle's set-cell
+count four lookups.  The fixed setup is batched: one vectorised
+expression counts every input's set cells, and only inputs that are not
+fully set are trimmed (BitOp covers are fully set, so a fit trims
+none).  The upper triangle of initial pairs is then scored in a few
+broadcasts, a block of rows at a time so the transient arrays stay
+small, and the admissible pairs go into a heap keyed
 ``(-cover, -area, id_i, id_j)``.  Each merge retires its two ids, gives
 the trimmed hull the next id and scores only that hull against the
 survivors; a popped pair with a retired id is skipped.  Survivors keep
@@ -79,26 +83,16 @@ def merge_clusters(clusters: Sequence[GridRect], grid: RuleGrid,
     """
     if not 0.0 < cover_fraction <= 1.0:
         raise ValueError("cover_fraction must be in (0, 1]")
-    trimmed = [_trim_to_content(grid, rect) for rect in clusters]
-    kept = [
-        (rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi)
-        for rect in trimmed if rect is not None
-    ]
+    integral = summed_area_table(grid.cells.astype(np.int64))
+    kept = _trim_inputs(grid, integral, clusters)
     n = len(kept)
     # Row k holds the bounds of cluster id k: the inputs first, then one
     # hull per merge (there are at most n - 1 merges).
     bounds = np.zeros((max(2 * n - 1, 1), 4), dtype=np.int64)
-    bounds[:n] = np.asarray(kept, dtype=np.int64).reshape(n, 4)
+    bounds[:n] = kept
     alive = np.zeros(len(bounds), dtype=bool)
     alive[:n] = True
-    integral = summed_area_table(grid.cells.astype(np.int64))
-    heap = [
-        (neg_cover, neg_area, i, j)
-        for i in range(n - 1)
-        for neg_cover, neg_area, j in _admissible_pairs(
-            integral, bounds, i, np.arange(i + 1, n), cover_fraction
-        )
-    ]
+    heap = _initial_pairs(integral, kept, cover_fraction)
     heapq.heapify(heap)
     next_id = n
     while heap:
@@ -135,32 +129,108 @@ def merge_clusters(clusters: Sequence[GridRect], grid: RuleGrid,
     return result
 
 
+#: Pairs scored per broadcast while the initial triangle is built.  It
+#: bounds the transient arrays to about a MiB however many clusters
+#: come in; the heap itself is the memory that grows with k.
+_PAIR_BLOCK = 1 << 13
+
+
+def _trim_inputs(grid: RuleGrid, integral: np.ndarray,
+                 clusters: Sequence[GridRect]) -> np.ndarray:
+    """The inputs' ``(x_lo, x_hi, y_lo, y_hi)`` rows, trimmed to content.
+
+    One vectorised block sum counts every input's set cells.  Fully set
+    inputs pass as they are, empty ones are dropped, and only the rest
+    go through :func:`_trim_to_content`.  Bounds are clipped to the grid
+    for the count, so an input reaching past the grid is trimmed back
+    into it, as slicing does.
+    """
+    rects = np.array(
+        [(rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi) for rect in clusters],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    n_x, n_y = grid.cells.shape
+    counts = _block_sums(
+        integral,
+        np.minimum(rects[:, 0], n_x), np.minimum(rects[:, 1] + 1, n_x),
+        np.minimum(rects[:, 2], n_y), np.minimum(rects[:, 3] + 1, n_y),
+    )
+    areas = (rects[:, 1] - rects[:, 0] + 1) * (rects[:, 3] - rects[:, 2] + 1)
+    for k in np.flatnonzero((counts > 0) & (counts < areas)).tolist():
+        trimmed = _trim_to_content(grid, clusters[k])
+        rects[k] = (trimmed.x_lo, trimmed.x_hi, trimmed.y_lo, trimmed.y_hi)
+    return rects[counts > 0]
+
+
+def _initial_pairs(integral: np.ndarray, bounds: np.ndarray,
+                   cover_fraction: float,
+                   ) -> list[tuple[float, int, int, int]]:
+    """Score every pair ``i < j`` of ``bounds``' rows in one batched pass.
+
+    Returns the heap entries ``(-cover, -area, i, j)`` of the admissible
+    pairs.  The upper triangle is scored a block of rows at a time, each
+    block about :data:`_PAIR_BLOCK` pairs, with the same float64 division
+    as :func:`_admissible_pairs`.
+    """
+    n = len(bounds)
+    entries: list[tuple[float, int, int, int]] = []
+    first = 0
+    while first < n - 1:
+        stop = min(n - 1, first + max(1, _PAIR_BLOCK // (n - first)))
+        rows, cols = np.triu_indices(stop - first, k=1, m=n - first)
+        rows += first
+        cols += first
+        covers, areas = _hull_scores(integral, bounds[rows], bounds[cols])
+        keep = covers >= cover_fraction
+        entries.extend(zip(
+            (-covers[keep]).tolist(), (-areas[keep]).tolist(),
+            rows[keep].tolist(), cols[keep].tolist(),
+        ))
+        first = stop
+    return entries
+
+
 def _admissible_pairs(integral: np.ndarray, bounds: np.ndarray,
                       anchor: int, partners: np.ndarray,
                       cover_fraction: float,
                       ) -> Iterator[tuple[float, int, int]]:
     """Score the hulls of cluster ``anchor`` with each of ``partners``.
 
-    Yields ``(-cover, -area, partner)`` for every admissible hull.  The
-    cover is the integer set-cell count over the integer area divided in
-    float64: the same correctly rounded ``float(count) / float(area)``
-    that :func:`hull_cover_fraction` returns.
+    Yields ``(-cover, -area, partner)`` for every admissible hull.
     """
-    other = bounds[partners]
-    x_lo = np.minimum(bounds[anchor, 0], other[:, 0])
-    x_end = np.maximum(bounds[anchor, 1], other[:, 1]) + 1
-    y_lo = np.minimum(bounds[anchor, 2], other[:, 2])
-    y_end = np.maximum(bounds[anchor, 3], other[:, 3]) + 1
-    counts = (
-        integral[x_end, y_end] - integral[x_lo, y_end]
-        - integral[x_end, y_lo] + integral[x_lo, y_lo]
-    )
-    areas = (x_end - x_lo) * (y_end - y_lo)
-    covers = counts / areas
+    covers, areas = _hull_scores(integral, bounds[anchor], bounds[partners])
     keep = covers >= cover_fraction
     return zip(
         (-covers[keep]).tolist(), (-areas[keep]).tolist(),
         partners[keep].tolist(),
+    )
+
+
+def _hull_scores(integral: np.ndarray, first: np.ndarray,
+                 second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cover fractions and areas of the hulls of two broadcastable
+    stacks of ``(x_lo, x_hi, y_lo, y_hi)`` rows.
+
+    The cover is the integer set-cell count over the integer area
+    divided in float64: the same correctly rounded
+    ``float(count) / float(area)`` that :func:`hull_cover_fraction`
+    returns.
+    """
+    x_lo = np.minimum(first[..., 0], second[..., 0])
+    x_end = np.maximum(first[..., 1], second[..., 1]) + 1
+    y_lo = np.minimum(first[..., 2], second[..., 2])
+    y_end = np.maximum(first[..., 3], second[..., 3]) + 1
+    areas = (x_end - x_lo) * (y_end - y_lo)
+    return _block_sums(integral, x_lo, x_end, y_lo, y_end) / areas, areas
+
+
+def _block_sums(integral: np.ndarray, x_lo: np.ndarray, x_end: np.ndarray,
+                y_lo: np.ndarray, y_end: np.ndarray) -> np.ndarray:
+    """Set-cell counts of the half-open blocks ``[x_lo, x_end) x
+    [y_lo, y_end)``, four summed-area lookups each."""
+    return (
+        integral[x_end, y_end] - integral[x_lo, y_end]
+        - integral[x_end, y_lo] + integral[x_lo, y_lo]
     )
 
 

@@ -11,7 +11,8 @@ generation, no extra data passes, and because the BinArray stays resident,
 "changing thresholds is nearly instantaneous".
 
 The scan is vectorised here: both threshold tests are array comparisons
-and the qualifying cells come out of one ``argwhere``.
+and the qualifying cells come out of one ``nonzero``, converted to Python
+ints in bulk rather than cell by cell.
 """
 
 from __future__ import annotations
@@ -39,27 +40,37 @@ def rule_pairs(bin_array: BinArray, rhs_code: int, min_support: float,
     _check_thresholds(min_support, min_confidence)
     with trace("mine", min_support=min_support,
                min_confidence=min_confidence) as span:
-        counts = bin_array.count_grid(rhs_code)
-        min_count = bin_array.n_total * min_support
-        with np.errstate(invalid="ignore", divide="ignore"):
-            confidence = np.where(
-                bin_array.totals > 0,
-                counts / bin_array.totals.astype(np.float64),
-                0.0,
-            )
-        qualifying = (counts >= min_count) & (counts > 0) & (
-            confidence >= min_confidence
+        qualifying = qualifying_cells(
+            bin_array, rhs_code, min_support, min_confidence
         )
-        pairs = [(int(i), int(j)) for i, j in np.argwhere(qualifying)]
+        rows, cols = np.nonzero(qualifying)
+        pairs = list(zip(rows.tolist(), cols.tolist()))
         metrics.inc("engine.scans")
         metrics.inc("engine.cells_qualified", len(pairs))
         span.set("cells_qualified", len(pairs))
         logger.debug(
             "engine scan: %d/%d cells qualify at support>=%g "
-            "confidence>=%g", len(pairs), counts.size, min_support,
+            "confidence>=%g", len(pairs), qualifying.size, min_support,
             min_confidence,
         )
     return pairs
+
+
+def qualifying_cells(bin_array: BinArray, rhs_code: int,
+                     min_support: float,
+                     min_confidence: float) -> np.ndarray:
+    """The boolean grid of cells whose rule clears both thresholds."""
+    counts = bin_array.count_grid(rhs_code)
+    min_count = bin_array.n_total * min_support
+    with np.errstate(invalid="ignore", divide="ignore"):
+        confidence = np.where(
+            bin_array.totals > 0,
+            counts / bin_array.totals.astype(np.float64),
+            0.0,
+        )
+    return (counts >= min_count) & (counts > 0) & (
+        confidence >= min_confidence
+    )
 
 
 def mine_binned_rules(bin_array: BinArray, rhs_code: int,

@@ -40,6 +40,7 @@ from repro.core.verifier import (
 )
 from repro.data.sampling import mean_and_stderr, repeat_indices
 from repro.data.schema import Table
+from repro.mining.engine import qualifying_cells
 
 
 def assign_bins_scalar(layout: BinLayout, values: np.ndarray) -> np.ndarray:
@@ -386,6 +387,18 @@ def row_bitmaps_scalar(cells: np.ndarray) -> list[int]:
             row_bits |= 1 << int(j)
         rows.append(row_bits)
     return rows
+
+
+def rule_pairs_scalar(bin_array: BinArray, rhs_code: int,
+                      min_support: float,
+                      min_confidence: float) -> list[tuple[int, int]]:
+    """Per-cell pair extraction: the original
+    :func:`repro.mining.engine.rule_pairs` comprehension over
+    ``np.argwhere``, converting one cell at a time."""
+    qualifying = qualifying_cells(
+        bin_array, rhs_code, min_support, min_confidence
+    )
+    return [(int(i), int(j)) for i, j in np.argwhere(qualifying)]
 
 
 def merge_clusters_scalar(clusters: Sequence[GridRect], grid: RuleGrid,

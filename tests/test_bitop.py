@@ -217,45 +217,6 @@ class TestCoverBaselines:
         assert not grid.covers(boxes[0])
 
 
-class TestParallelEnumeration:
-    """Section 5: "parallel implementations of the algorithm would be
-    straightforward" — the parallel path must match the serial one
-    exactly."""
-
-    def make_rows(self, seed=5, n_rows=24, n_cols=24):
-        import numpy as np
-        rng = np.random.default_rng(seed)
-        grid = RuleGrid(rng.random((n_rows, n_cols)) < 0.4)
-        return grid.row_bitmaps()
-
-    def test_matches_serial(self):
-        from repro.core.bitop import enumerate_rectangles_parallel
-        rows = self.make_rows()
-        serial = enumerate_rectangles(rows)
-        parallel = enumerate_rectangles_parallel(rows, workers=3)
-        assert parallel == serial
-
-    def test_single_worker_is_serial_path(self):
-        from repro.core.bitop import enumerate_rectangles_parallel
-        rows = self.make_rows(seed=6)
-        assert enumerate_rectangles_parallel(rows, workers=1) == (
-            enumerate_rectangles(rows)
-        )
-
-    def test_small_inputs_skip_the_pool(self):
-        from repro.core.bitop import enumerate_rectangles_parallel
-        rows = [0b11, 0b01]
-        assert enumerate_rectangles_parallel(rows, workers=4) == (
-            enumerate_rectangles(rows)
-        )
-
-    def test_rejects_bad_worker_count(self):
-        import pytest
-        from repro.core.bitop import enumerate_rectangles_parallel
-        with pytest.raises(ValueError):
-            enumerate_rectangles_parallel([0b1], workers=0)
-
-
 class TestBruteForceOracle:
     def test_maximal_rectangles_small_grid(self):
         grid = RuleGrid.empty(3, 3)

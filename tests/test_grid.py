@@ -29,6 +29,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             RuleGrid.from_rules(rules, 3, 3)
 
+    def test_from_pairs_empty(self):
+        assert RuleGrid.from_pairs([], 3, 2).is_empty()
+
+    def test_from_pairs_accepts_any_iterable(self):
+        grid = RuleGrid.from_pairs(iter([(1, 1), (1, 1)]), 2, 2)
+        assert grid.set_pairs() == [(1, 1)]
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+    def test_from_pairs_out_of_range(self, pair):
+        """Negative indices do not wrap round and too-large ones do not
+        leak a bare IndexError: both are the from_rules error."""
+        message = rf"rule cell \({pair[0]}, {pair[1]}\) outside 3x3 grid"
+        with pytest.raises(ValueError, match=message):
+            RuleGrid.from_pairs([(1, 1), pair], 3, 3)
+
+    def test_from_pairs_names_first_bad_pair(self):
+        with pytest.raises(ValueError, match=r"\(5, 0\)"):
+            RuleGrid.from_pairs([(0, 0), (5, 0), (-1, 0)], 3, 3)
+
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             RuleGrid(np.zeros(5, dtype=bool))

@@ -76,6 +76,14 @@ class TestMergeClusters:
         grid = RuleGrid.empty(10, 10)
         assert merge_clusters([ghost], grid) == []
 
+    def test_partly_set_inputs_are_trimmed(self):
+        """Only inputs that are not fully set go through trimming; a
+        rectangle reaching past the grid is trimmed back into it."""
+        grid = grid_with(GridRect(0, 2, 0, 2), shape=(3, 3))
+        loose = GridRect(1, 7, 1, 7)
+        assert merge_clusters([loose], grid) == [GridRect(1, 2, 1, 2)]
+        assert merge_clusters([GridRect(3, 4, 0, 1)], grid) == []
+
     def test_single_cluster_passthrough(self):
         a = GridRect(1, 2, 1, 2)
         grid = grid_with(a)

@@ -1,15 +1,17 @@
 """Equivalence tests: vectorised hot-path kernels vs scalar references.
 
 The fast kernels (bincount binner scatter, the sampled-once verifier,
-summed-area-table smoothing, packbits row masks, the heap hull merge and
-the incremental BitOp cover) must produce *bit-identical* results to the
-straightforward scalar implementations kept in
+summed-area-table smoothing, packbits row masks, bulk rule-pair
+extraction, the heap hull merge and the incremental BitOp cover) must
+produce *bit-identical* results to the straightforward scalar
+implementations kept in
 :mod:`repro.perf.reference` — including edge bins, empty inputs and
 empty grids.  The perf-budget harness relies on these pairs agreeing
 before it times them.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from repro.binning import bin_table
 from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import equi_width_layout
+from repro.core import clusterer
 from repro.core.arcs import ARCS, ARCSConfig
 from repro.core.bitop import BitOpClusterer
 from repro.core.grid import RuleGrid
@@ -565,6 +568,88 @@ class TestScorerEquivalence:
 
 
 # ----------------------------------------------------------------------
+# Mining extraction: rule_pairs converts the qualifying cells in bulk and
+# RuleGrid.from_pairs sets them with one fancy-index assignment.  The
+# list must equal the per-cell comprehension element for element, int
+# types included, and the grid must equal the per-cell loop.
+# ----------------------------------------------------------------------
+@st.composite
+def bin_arrays(draw, max_bins=12, max_tuples=400):
+    """BinArrays of any shape with empty cells and three RHS values."""
+    n_x = draw(st.integers(1, max_bins))
+    n_y = draw(st.integers(1, max_bins))
+    n_tuples = draw(st.integers(0, max_tuples))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    array = BinArray(
+        equi_width_layout("x", 0.0, float(n_x), n_x),
+        equi_width_layout("y", 0.0, float(n_y), n_y),
+        CategoricalEncoding("group", ("A", "B", "other")),
+    )
+    # Skewed bins leave some cells empty and pile tuples into others.
+    array.add_chunk(
+        np.minimum(rng.geometric(0.3, n_tuples) - 1, n_x - 1),
+        rng.integers(0, n_y, n_tuples),
+        rng.integers(0, 3, n_tuples),
+    )
+    return array
+
+
+def grid_from_pairs_scalar(pairs, n_x, n_y):
+    cells = np.zeros((n_x, n_y), dtype=bool)
+    for i, j in pairs:
+        cells[i, j] = True
+    return cells
+
+
+class TestRulePairsEquivalence:
+    @settings(max_examples=150, deadline=None)
+    @given(bin_arrays(), st.integers(0, 2),
+           st.one_of(st.just(0.0), st.floats(0.0, 0.05),
+                     st.floats(0.0, 1.0)),
+           st.floats(0.0, 1.0))
+    def test_random_bin_arrays(self, array, rhs_code, min_support,
+                               min_confidence):
+        fast = rule_pairs(array, rhs_code, min_support, min_confidence)
+        slow = reference.rule_pairs_scalar(
+            array, rhs_code, min_support, min_confidence
+        )
+        assert fast == slow
+        assert all(type(i) is int and type(j) is int for i, j in fast)
+        assert all(type(pair) is tuple for pair in fast)
+        grid = RuleGrid.from_pairs(fast, array.n_x, array.n_y)
+        assert np.array_equal(
+            grid.cells, grid_from_pairs_scalar(slow, array.n_x, array.n_y)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40),
+           st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                    max_size=200))
+    def test_from_pairs_matches_per_cell_loop(self, n_x, n_y, pairs):
+        """Duplicated and unordered pairs, which the engine never emits."""
+        pairs = [(i, j) for i, j in pairs if i < n_x and j < n_y]
+        grid = RuleGrid.from_pairs(pairs, n_x, n_y)
+        assert np.array_equal(
+            grid.cells, grid_from_pairs_scalar(pairs, n_x, n_y)
+        )
+
+    def test_function2_bin_array(self):
+        table = repro.generate_synthetic(repro.SyntheticConfig(
+            n_tuples=8_000, function_id=2, perturbation=0.05,
+            outlier_fraction=0.10, seed=3,
+        ))
+        binner = bin_table(table, "age", "salary", "group", 32, 32)
+        code = binner.rhs_encoding.code_of("A")
+        for min_support in (0.0, 0.0002, 0.001):
+            for min_confidence in (0.0, 0.5, 0.9):
+                assert rule_pairs(
+                    binner.bin_array, code, min_support, min_confidence
+                ) == reference.rule_pairs_scalar(
+                    binner.bin_array, code, min_support, min_confidence
+                )
+
+
+# ----------------------------------------------------------------------
 # Hull merge and BitOp cover: the fast paths are cubic-free rewrites of
 # the scalar loops, so they are held to ``==`` on whole output lists,
 # order included.  The oracles are cubic; keep their grids small.
@@ -672,6 +757,54 @@ class TestMergeEquivalence:
         merged = merge_clusters(clusters, grid, cover_fraction=0.5)
         assert time.perf_counter() - start < 15.0
         assert merged
+
+    @pytest.mark.parametrize("cover_fraction, bound_mib", [
+        # Nearly every pair is admissible: the heap is the peak.  The
+        # per-row scoring this replaced peaked at 38.6 MiB on 64-bit
+        # CPython 3.11; the bound is 10% over that.
+        (0.5, 1.1 * 38.6),
+        # No pair is admissible, so the peak is the setup's transient
+        # arrays: ~1.4 MiB in row blocks, ~17 MiB as one triangle.
+        (0.8, 4.0),
+    ], ids=["heap", "setup"])
+    def test_fragmented_merge_memory_is_bounded(self, cover_fraction,
+                                                bound_mib):
+        grid = checkerboard(32)
+        clusters = BitOpClusterer().cluster(grid)
+        tracemalloc.start()
+        try:
+            merge_clusters(clusters, grid, cover_fraction)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
+    def test_fragmented_fit_trial_grids(self, monkeypatch):
+        """Every merge of a fit shaped like the e2e fit-fragmented
+        workload: 8k tuples, 10% outliers, 32x32 bins, the whole 6x10
+        threshold lattice.  Each trial merges its smoothed grid's BitOp
+        cover."""
+        calls = []
+
+        def recording_merge(clusters, grid, cover_fraction):
+            calls.append((list(clusters), grid.copy(), cover_fraction))
+            return merge_clusters(clusters, grid, cover_fraction)
+
+        monkeypatch.setattr(clusterer, "merge_clusters", recording_merge)
+        table = repro.generate_synthetic(repro.SyntheticConfig(
+            n_tuples=8_000, function_id=2, perturbation=0.05,
+            outlier_fraction=0.10, seed=0,
+        ))
+        config = ARCSConfig(
+            n_bins_x=32, n_bins_y=32,
+            optimizer=OptimizerConfig(max_support_levels=6,
+                                      max_confidence_levels=10,
+                                      patience=6),
+        )
+        result = ARCS(config).fit(table, "age", "salary", "group", "A")
+        assert len(calls) == len(result.history) > 0
+        for clusters, grid, cover_fraction in calls:
+            self.assert_merges_equal(clusters, grid, cover_fraction)
 
 
 class TestBitOpCoverEquivalence:
