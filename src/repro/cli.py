@@ -219,8 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "for hot reload (negative disables)")
     serve.add_argument("--workers", type=int, default=0, metavar="N",
                        help="scoring worker processes sharing the "
-                            "listening socket and shared-memory scorer "
-                            "tables (0 = single threaded process)")
+                            "listening socket, each loading and "
+                            "hot-reloading the models itself "
+                            "(0 = single threaded process)")
     serve.add_argument("--fleet-interval", type=float, default=None,
                        metavar="SECONDS",
                        help="with --workers: how often each worker "
@@ -724,18 +725,18 @@ def _command_fleet(args: argparse.Namespace) -> int:
     if workers:
         print(f"{'worker':>6}  {'pid':>7}  {'spawn':>5}  "
               f"{'restarts':>8}  {'uptime':>9}  {'snapshot':>12}  "
-              f"{'ack':>9}  state")
+              f"{'models':>6}  state")
     for index in sorted(workers, key=lambda key: int(key)):
         entry = workers[index]
         uptime = entry.get("uptime_seconds") or 0.0
-        ack = entry.get("ack_latency_seconds")
+        models = entry.get("models")
         requests = entry.get("counters", {}).get("serve.requests", 0)
         state = "draining" if entry.get("draining") else "serving"
         print(f"{index:>6}  {entry.get('pid', '-'):>7}  "
               f"{entry.get('spawn_generation', '-'):>5}  "
               f"{entry.get('restarts', 0):>8}  {uptime:>8.1f}s  "
               f"{_format_age(entry.get('last_snapshot_age_seconds')):>12}  "
-              f"{'-' if ack is None else f'{ack * 1000:.1f}ms':>9}  "
+              f"{'-' if models is None else len(models):>6}  "
               f"{state} ({requests} requests)")
     _emit_run_report(args, capture.report)
     return 0

@@ -121,18 +121,6 @@ METRICS: dict[str, tuple[str, str]] = {
     'serve.shed_total{endpoint}':
         ('counter',
          'requests shed with HTTP 429 at the in-flight scoring bound, labeled by endpoint'),
-    'serve.shm_attach_fallbacks':
-        ('counter',
-         'worker scorer resolutions that compiled locally because no shared block existed'),
-    'serve.shm_attached':
-        ('counter',
-         'shared-memory scorer tables attached zero-copy by workers'),
-    'serve.shm_published':
-        ('counter',
-         'compiled scorer tables published into shared memory by the parent'),
-    'serve.shm_retired':
-        ('counter',
-         'replaced shared-memory blocks unlinked after every worker re-attached'),
     'serve.tuples_scored':
         ('counter',
          'tuples scored by `CompiledScorer.score_batch`'),

@@ -7,8 +7,8 @@ sink — correct for fork safety, but it fragments observability: a
 it.  This module is the parent-side half that closes the gap:
 
 * each worker periodically (and finally, on drain) ships its
-  ``MetricsRegistry.snapshot()`` plus event-sink counts to the parent
-  over the existing ack queue;
+  ``MetricsRegistry.snapshot()``, event-sink counts and served model
+  ids to the parent over the existing ack queue;
 * the parent's :class:`FleetAggregator` absorbs the payloads with
   **kind-aware** semantics — counters and histogram buckets sum through
   :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`, while
@@ -16,13 +16,12 @@ it.  This module is the parent-side half that closes the gap:
   workers' queue depths are independent readings; a summed drift PSI
   is meaningless);
 * the merged snapshot is re-published as an **atomically replaced JSON
-  document** (write-temp-then-``os.replace``, the same
-  publish-don't-mutate pattern as the shared-memory scorer blocks) that
-  every worker re-reads through a :class:`FleetView`, so *any* worker
-  answering ``GET /metrics`` serves the fleet-wide view, and
-  ``GET /fleet`` exposes the per-worker lifecycle surface (pid, uptime,
-  spawn generation, restart count, ack latency, snapshot age, drain
-  state).
+  document** (write-temp-then-``os.replace``, so a reader never sees
+  a torn write) that every worker re-reads through a
+  :class:`FleetView`, so *any* worker answering ``GET /metrics`` serves
+  the fleet-wide view, and ``GET /fleet`` exposes the per-worker
+  lifecycle surface (pid, uptime, spawn generation, restart count,
+  served models, snapshot age, drain state).
 
 Restarts are handled monotonically: when a worker comes back with a new
 incarnation, its previous incarnation's counters and histograms are
@@ -55,10 +54,6 @@ __all__ = [
 #: The ``format`` discriminator in every published fleet document.
 FLEET_FORMAT = "arcs-fleet-telemetry"
 
-#: Sync-broadcast timestamps kept for ack-latency bookkeeping; later
-#: acks for older generations simply report no latency.
-_SENT_GENERATIONS_KEPT = 32
-
 
 class _WorkerState:
     """The parent's view of one worker slot (guarded by the aggregator
@@ -67,7 +62,7 @@ class _WorkerState:
     __slots__ = (
         "pid", "incarnation", "restarts", "snapshot", "events",
         "uptime_seconds", "draining", "last_snapshot_unix",
-        "spawned_unix", "ack_generation", "ack_latency_seconds",
+        "spawned_unix", "models",
     )
 
     def __init__(self, pid: int | None, incarnation: int):
@@ -80,8 +75,9 @@ class _WorkerState:
         self.draining = False
         self.last_snapshot_unix: float | None = None
         self.spawned_unix = time.time()  # wall-clock: ok (ops surface)
-        self.ack_generation = 0
-        self.ack_latency_seconds: float | None = None
+        #: Sorted ids of the models the worker served at its last
+        #: snapshot; ``None`` before the first one.
+        self.models: list[str] | None = None
 
 
 def _sum_counters(into: dict, counters: dict) -> None:
@@ -92,10 +88,10 @@ def _sum_counters(into: dict, counters: dict) -> None:
 class FleetAggregator:
     """Absorbs worker telemetry and builds the merged fleet document.
 
-    Thread-safe: :meth:`absorb`/:meth:`note_sync_ack` run on the
-    parent's ack loop, :meth:`register_worker`/:meth:`note_restart` on
-    the watchdog thread, and :meth:`publish` on whichever of them
-    triggered it — all state is guarded by ``self._lock``.
+    Thread-safe: :meth:`absorb` runs on the parent's ack loop,
+    :meth:`register_worker`/:meth:`note_restart` on the watchdog
+    thread, and :meth:`publish` on whichever of them triggered it — all
+    state is guarded by ``self._lock``.
     """
 
     def __init__(self) -> None:
@@ -108,8 +104,6 @@ class FleetAggregator:
         self._generation = 0
         self._absorbed = 0
         self._last_publish_seconds: float | None = None
-        #: publisher generation -> broadcast perf_counter stamp.
-        self._sync_sent: dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle notes from the parent's supervision threads
@@ -133,33 +127,15 @@ class FleetAggregator:
             if state is not None:
                 state.restarts += 1
 
-    def note_sync_sent(self, generation: int) -> None:
-        """A ``sync`` (or initial spawn) broadcast went out; stamps the
-        generation so the matching acks can report their latency."""
-        with self._lock:
-            self._sync_sent[generation] = perf_counter()
-            while len(self._sync_sent) > _SENT_GENERATIONS_KEPT:
-                del self._sync_sent[min(self._sync_sent)]
-
-    def note_sync_ack(self, index: int, generation: int) -> None:
-        """A worker acknowledged a generation; records its latency."""
-        with self._lock:
-            state = self._workers.get(index)
-            if state is None:
-                return
-            state.ack_generation = max(state.ack_generation, generation)
-            sent = self._sync_sent.get(generation)
-            if sent is not None:
-                state.ack_latency_seconds = perf_counter() - sent
-
     # ------------------------------------------------------------------
     # Telemetry intake
     # ------------------------------------------------------------------
     def absorb(self, index: int, payload: dict) -> None:
         """Take one worker's telemetry payload (see ``_worker_main``:
         pid, incarnation, uptime, drain flag, registry snapshot, event
-        counts).  A changed incarnation folds the previous one's
-        counters/histograms into the slot's base first."""
+        counts, served model ids).  A changed incarnation folds the
+        previous one's counters/histograms into the slot's base
+        first."""
         with self._lock:
             state = self._workers.get(index)
             if state is None:
@@ -172,6 +148,7 @@ class FleetAggregator:
             state.pid = payload.get("pid", state.pid)
             state.snapshot = payload.get("snapshot") or {}
             state.events = payload.get("events")
+            state.models = payload.get("models")
             state.uptime_seconds = payload.get("uptime_seconds", 0.0)
             state.draining = bool(payload.get("draining", False))
             state.last_snapshot_unix = (
@@ -207,9 +184,9 @@ class FleetAggregator:
         state.incarnation = incarnation
         state.snapshot = None
         state.events = None
+        state.models = None
         state.uptime_seconds = 0.0
         state.draining = False
-        state.ack_latency_seconds = None
 
     # ------------------------------------------------------------------
     # Aggregation + publication
@@ -273,8 +250,7 @@ class FleetAggregator:
             "draining": state.draining,
             "spawned_unix": state.spawned_unix,
             "last_snapshot_unix": state.last_snapshot_unix,
-            "ack_generation": state.ack_generation,
-            "ack_latency_seconds": state.ack_latency_seconds,
+            "models": state.models,
             "events": state.events,
             "counters": self._worker_counters_locked(index, state),
         }

@@ -25,8 +25,8 @@ that missing half, in three layers:
   surfaced via ``GET /stats``, drift gauges and threshold events;
 * :mod:`repro.serve.workers` — the pre-fork
   :class:`MultiProcessServer`: N forked workers sharing one listening
-  socket and attaching compiled scorer tables zero-copy from
-  ``multiprocessing.shared_memory`` (``arcs serve --workers N``).
+  socket, each serving and hot-reloading its own registry exactly like
+  the threaded server (``arcs serve --workers N``).
 
 CLI: ``arcs serve <model-dir>`` and ``arcs score <model> --input csv``.
 Full reference: ``docs/serving.md``.
@@ -59,7 +59,6 @@ from repro.serve.service import (
 )
 from repro.serve.workers import (
     MultiProcessServer,
-    SharedScorerCache,
     WorkerConfig,
     WorkerError,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "ScoringError",
     "ServedModel",
     "ServiceError",
-    "SharedScorerCache",
     "TrafficMonitor",
     "TrafficMonitors",
     "WorkerConfig",

@@ -8,7 +8,7 @@ and tear down with ``shutdown()``/``server_close()``.
 
 :func:`create_multiprocess_server` is the ``--workers N`` counterpart:
 it builds a :class:`~repro.serve.workers.MultiProcessServer` (pre-fork
-workers over shared-memory scorers) from the same knobs plus a
+workers sharing one listening socket) from the same knobs plus a
 :class:`~repro.serve.workers.WorkerConfig`; the CLI blocks in
 :func:`run_multiprocess_server`, which installs SIGTERM/SIGINT handlers
 that trigger a graceful drain.

@@ -7,6 +7,8 @@ naturally.  The registry:
 
 * loads every ``*.json`` in the directory through the persistence
   layer, so format versioning is enforced in exactly one place;
+* compiles each model's scorer once, at load, so a request never
+  compiles or looks one up;
 * assigns each model a **content-hash id** (sha256 of the artefact
   bytes, truncated to 12 hex chars) — two directories holding the same
   bytes serve the same ids, and an edited artefact is a *different*
@@ -43,6 +45,7 @@ from repro.persistence import (
     segmentation_metadata,
     segmentation_reference,
 )
+from repro.serve.scorer import CompiledScorer, compile_scorer
 
 logger = logging.getLogger(__name__)
 
@@ -83,6 +86,7 @@ class ServedModel:
     metadata: dict          # {"library_version", "created_unix"} if saved
     loaded_at: float        # wall-clock, for /models display
     fingerprint: tuple = field(repr=False)  # (mtime_ns, size) staleness key
+    scorer: CompiledScorer = field(repr=False)  # compiled at load
     #: Training occupancy for drift scoring; None for artefacts saved
     #: before reference profiles existed (drift then reads unavailable).
     reference: ReferenceProfile | None = field(default=None, repr=False)
@@ -120,6 +124,7 @@ def _load_model(path: Path) -> ServedModel:
         metadata=segmentation_metadata(path),
         loaded_at=time.time(),  # wall-clock: ok (display timestamp)
         fingerprint=_fingerprint(path),
+        scorer=compile_scorer(segmentation),
         reference=segmentation_reference(path),
     )
 

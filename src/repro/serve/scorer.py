@@ -27,8 +27,10 @@ stores, per (x-position, y-position), the index of the **first matching
 rule** (segmentation order), or ``-1`` for "outside every rule" — which
 is what ``/explain`` reports as the rule that fired.
 
-Compilation is cached (:func:`compile_scorer`) so a server re-resolving
-the same model per request compiles once; cache hits/misses land in the
+The serving registry compiles each model once, when it loads it
+(:attr:`~repro.serve.registry.ServedModel.scorer`).  Compilation is also
+cached (:func:`compile_scorer`), so reloading an unchanged segmentation
+reuses its scorer; cache hits/misses land in the
 ``serve.scorer_cache_*`` counters.  The scalar twin lives in
 :func:`repro.perf.reference.score_batch_scalar` and the two are held
 bit-identical by ``tests/test_serve_properties.py`` and the ``scorer``

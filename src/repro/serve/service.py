@@ -22,8 +22,8 @@ Endpoints::
                          published *fleet* aggregate by default —
                          ?scope=local forces this process's own view
     GET  /fleet          fleet lifecycle surface: per-worker pid,
-                         uptime, spawn generation, restart count, ack
-                         latency, snapshot age and drain state
+                         uptime, spawn generation, restart count,
+                         served models, snapshot age and drain state
     GET  /stats          model observability: windowed traffic drift
                          (PSI + JS per attribute), segment coverage and
                          out-of-range fractions per model
@@ -72,11 +72,7 @@ from repro.obs.prometheus import render_prometheus, render_registry
 from repro.obs.tracing import Span
 from repro.serve.monitor import TrafficMonitors
 from repro.serve.registry import ModelRegistry, ServedModel
-from repro.serve.scorer import (
-    CompiledScorer,
-    ScoringError,
-    compile_scorer,
-)
+from repro.serve.scorer import CompiledScorer, ScoringError
 
 logger = logging.getLogger(__name__)
 
@@ -183,24 +179,22 @@ def _interval_dict(interval) -> dict:
 
 
 def _compile_for(model: ServedModel) -> CompiledScorer:
-    """The default scorer provider: the in-process LRU-cached compile."""
-    return compile_scorer(model.segmentation)
+    """A model's scorer, compiled once when the registry loaded it."""
+    return model.scorer
 
 
 class PredictionService:
     """Endpoint logic over a :class:`ModelRegistry` (transport-free).
 
     At most :data:`MAX_IN_FLIGHT` scoring calls run at once; the next
-    is shed with 429.  ``scorer_provider`` swaps where compiled
-    scorers come from: the default compiles in process; worker processes
-    inject a provider that attaches to the parent's shared-memory
-    tables (:mod:`repro.serve.workers`).
+    is shed with 429.  The threaded server and every pre-fork worker
+    (:mod:`repro.serve.workers`) run this same class over their own
+    registry.
     """
 
     def __init__(self, registry: ModelRegistry,
                  recent_span_limit: int = 64,
                  monitors: TrafficMonitors | None = None,
-                 scorer_provider=None,
                  fleet_view=None):
         self.registry = registry
         self.started = perf_counter()
@@ -212,10 +206,9 @@ class PredictionService:
             monitors if monitors is not None else TrafficMonitors()
         )
         self._in_flight = threading.BoundedSemaphore(MAX_IN_FLIGHT)
-        self.scorer_for = (
-            scorer_provider if scorer_provider is not None
-            else _compile_for
-        )
+        #: ``ServedModel -> CompiledScorer``; tests substitute slow
+        #: scorers through it.
+        self.scorer_for = _compile_for
         #: Extra keys merged into /healthz (worker identity etc.); set
         #: once before serving starts, read-only afterwards.
         self.health_extra: dict = {}
@@ -356,7 +349,7 @@ class PredictionService:
 
         Under the multi-process server this is the parent's last
         published document — per-worker pid, uptime, spawn generation,
-        restart count, ack latency, drain state and counter totals —
+        restart count, served models, drain state and counter totals —
         with snapshot/publish ages computed at read time.  The threaded
         server (and a worker before the first publish) reports itself
         as a single-member fleet in ``mode: "process"``.

@@ -11,9 +11,9 @@ patched.
 Publishing goes through the persistence layer into a plain model
 directory — the same directory a
 :class:`~repro.serve.registry.ModelRegistry` watches — so the existing
-``maybe_refresh()`` / ``poll_models()`` hot-reload paths (threaded and
-multi-process servers alike) pick refreshed segmentations up with zero
-new serving code.  Two safeguards keep that cheap and safe:
+``maybe_refresh()`` hot-reload path (threaded server and every pre-fork
+worker alike) picks refreshed segmentations up with zero new serving
+code.  Two safeguards keep that cheap and safe:
 
 * **content-hash skip** — the new segmentation's
   :func:`segmentation_content_hash` (rules + attributes only, no

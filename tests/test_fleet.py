@@ -16,7 +16,7 @@ from repro.obs.metrics import MetricsRegistry
 
 
 def payload(pid, incarnation, registry, *, uptime=1.5, draining=False,
-            events=None):
+            events=None, models=("0123456789ab",)):
     """One worker telemetry message, as ``_worker_main`` ships it."""
     return {
         "pid": pid,
@@ -25,6 +25,7 @@ def payload(pid, incarnation, registry, *, uptime=1.5, draining=False,
         "draining": draining,
         "snapshot": registry.snapshot(),
         "events": events,
+        "models": list(models),
     }
 
 
@@ -138,10 +139,16 @@ class TestFleetAggregator:
         first = MetricsRegistry()
         first.inc("serve.requests", 5)
         first.set_gauge("serve.models_loaded", 9.0)
-        aggregator.absorb(0, payload(100, 1, first))
+        aggregator.absorb(0, payload(100, 1, first,
+                                     models=("0123456789ab",)))
+        entry = aggregator.build_document()["workers"]["0"]
+        assert entry["models"] == ["0123456789ab"]
         # Watchdog replaces the crashed worker: new pid, incarnation 2.
         aggregator.note_restart(0)
         aggregator.register_worker(0, 200, 2)
+        # The new incarnation has reported no models yet.
+        assert aggregator.build_document()["workers"]["0"]["models"] \
+            is None
         between = aggregator.aggregate()
         # The dead incarnation's counters survive; its gauge does not —
         # a dead process has no current queue depth.
@@ -149,10 +156,13 @@ class TestFleetAggregator:
         assert between["gauges"] == {}
         restarted = MetricsRegistry()  # fresh registry, counts from 0
         restarted.inc("serve.requests", 2)
-        aggregator.absorb(0, payload(200, 2, restarted))
+        aggregator.absorb(0, payload(200, 2, restarted,
+                                     models=("cafef00d0000",
+                                             "feedbeef0000")))
         aggregate = aggregator.aggregate()
         assert aggregate["counters"]["serve.requests"] == 7
         entry = aggregator.build_document()["workers"]["0"]
+        assert entry["models"] == ["cafef00d0000", "feedbeef0000"]
         assert entry["pid"] == 200
         assert entry["spawn_generation"] == 2
         assert entry["restarts"] == 1
@@ -171,20 +181,6 @@ class TestFleetAggregator:
         aggregator.absorb(0, payload(200, 2, second))
         assert aggregator.aggregate()["counters"]["serve.requests"] == 4
 
-    def test_ack_latency_bookkeeping(self):
-        aggregator = FleetAggregator()
-        aggregator.register_worker(0, 100, 1)
-        aggregator.note_sync_sent(3)
-        aggregator.note_sync_ack(0, 3)
-        entry = aggregator.build_document()["workers"]["0"]
-        assert entry["ack_generation"] == 3
-        assert entry["ack_latency_seconds"] >= 0.0
-        # An ack for a generation never stamped reports no latency but
-        # still advances the high-water mark.
-        aggregator.note_sync_ack(0, 7)
-        entry = aggregator.build_document()["workers"]["0"]
-        assert entry["ack_generation"] == 7
-
     def test_document_shape_and_generation(self):
         aggregator = self.two_worker_aggregator()
         document = aggregator.build_document()
@@ -195,8 +191,8 @@ class TestFleetAggregator:
         for entry in document["workers"].values():
             for field in ("pid", "spawn_generation", "restarts",
                           "uptime_seconds", "draining", "spawned_unix",
-                          "last_snapshot_unix", "ack_generation",
-                          "ack_latency_seconds", "events", "counters"):
+                          "last_snapshot_unix", "models", "events",
+                          "counters"):
                 assert field in entry
         assert aggregator.build_document()["generation"] == 2
         json.dumps(document)  # stays JSON-ready

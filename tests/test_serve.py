@@ -188,8 +188,12 @@ class TestModelRegistry:
         new = registry.resolve("groupA")
         assert new.model_id != old.model_id
         assert len(new.segmentation) == 1
+        # Each model carries the scorer compiled when it was loaded.
+        assert new.scorer.segmentation is new.segmentation
+        assert new.scorer.score(5, 5) == 0
         # The old model object keeps working for in-flight requests.
         assert compile_scorer(old.segmentation).score(25, 60_000) == 0
+        assert old.scorer.score(25, 60_000) == 0
 
     def test_refresh_without_changes_reports_none(self, model_dir):
         registry = ModelRegistry(model_dir, refresh_interval=0).load()

@@ -1,25 +1,21 @@
 """Tests for multi-process serving (repro.serve.workers).
 
-Covers the shared-memory table codec (bit-identical to the compiled
-scorer and the scalar oracle), the publish/ack/retire protocol, and the
-pre-fork :class:`MultiProcessServer` end to end over live HTTP —
-including graceful drain, worker restart and hot reload.
+Covers the pre-fork :class:`MultiProcessServer` end to end over live
+HTTP — answers bit-identical to the scalar oracle, graceful drain,
+worker restart, worker-side hot reload — and the fleet telemetry the
+workers ship to the parent.
 """
 
-import gc
 import json
 import multiprocessing
 import os
 import re
 import signal
 import socket
-import struct
 import threading
 import time
 import urllib.error
 import urllib.request
-from multiprocessing.shared_memory import SharedMemory
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,19 +30,10 @@ from repro.serve import (
     ModelRegistry,
     MultiProcessServer,
     PredictionService,
-    SharedScorerCache,
     WorkerConfig,
     WorkerError,
-    compile_scorer,
 )
-from repro.serve.workers import (
-    ScorerPublisher,
-    _AdoptedSocketServer,
-    _close_mapping_when_views_die,
-    attach_scorer,
-    block_name,
-    publish_tables,
-)
+from repro.serve.workers import _AdoptedSocketServer
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -106,316 +93,6 @@ def _wait_until(predicate, timeout=10.0, interval=0.05):
             return True
         time.sleep(interval)
     return predicate()
-
-
-# ----------------------------------------------------------------------
-# Shared-memory codec
-# ----------------------------------------------------------------------
-class TestSharedTables:
-    def test_attach_round_trips_bit_identical(self, segmentation):
-        scorer = compile_scorer(segmentation)
-        name = f"arcstest{os.getpid():x}_roundtrip"
-        shm = publish_tables(scorer, name)
-        try:
-            attached, handle = attach_scorer(name, segmentation)
-            try:
-                assert np.array_equal(attached.x_edges, scorer.x_edges)
-                assert np.array_equal(attached.y_edges, scorer.y_edges)
-                assert np.array_equal(attached.table, scorer.table)
-                rng = np.random.default_rng(7)
-                x = rng.uniform(0, 100, 1000)
-                y = rng.uniform(0, 120_000, 1000)
-                expected = score_batch_scalar(segmentation, x, y)
-                assert np.array_equal(
-                    attached.score_batch(x, y), expected
-                )
-                assert np.array_equal(
-                    scorer.score_batch(x, y), expected
-                )
-            finally:
-                handle.close()
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_attached_tables_are_read_only(self, segmentation):
-        scorer = compile_scorer(segmentation)
-        name = f"arcstest{os.getpid():x}_readonly"
-        shm = publish_tables(scorer, name)
-        try:
-            attached, handle = attach_scorer(name, segmentation)
-            try:
-                with pytest.raises(ValueError):
-                    attached.table[0, 0] = 99
-            finally:
-                handle.close()
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_attach_missing_block_raises(self, segmentation):
-        with pytest.raises(FileNotFoundError):
-            attach_scorer(f"arcstest{os.getpid():x}_ghost",
-                          segmentation)
-
-    def test_publish_replaces_stale_block(self, segmentation):
-        scorer = compile_scorer(segmentation)
-        name = f"arcstest{os.getpid():x}_stale"
-        first = publish_tables(scorer, name)
-        first.close()  # simulate a crashed publisher: never unlinked
-        second = publish_tables(scorer, name)
-        try:
-            attached, handle = attach_scorer(name, segmentation)
-            handle.close()
-        finally:
-            second.close()
-            second.unlink()
-
-    def test_header_never_overlaps_first_array(self):
-        # The header's offset digits feed back into its own encoded
-        # length; sweep header sizes (rule counts) and assert the
-        # stored header always fits below the first array region and
-        # the tables round-trip bit-identically.
-        for n_rules in (1, 3, 7, 15, 31):
-            seg = Segmentation.from_rules([
-                make_rule(i, i + 0.5, 10.0 * i, 10.0 * i + 5.0)
-                for i in range(n_rules)
-            ])
-            scorer = compile_scorer(seg)
-            name = f"arcstest{os.getpid():x}_fix{n_rules}"
-            shm = publish_tables(scorer, name)
-            try:
-                (length,) = struct.unpack_from("<Q", shm.buf, 0)
-                header = json.loads(bytes(shm.buf[8:8 + length]))
-                first_offset = min(
-                    spec["offset"] for spec in header.values()
-                )
-                assert 8 + length <= first_offset
-                attached, _handle = attach_scorer(name, seg)
-                assert np.array_equal(attached.table, scorer.table)
-                assert np.array_equal(attached.x_edges, scorer.x_edges)
-                assert np.array_equal(attached.y_edges, scorer.y_edges)
-            finally:
-                shm.close()
-                shm.unlink()
-
-
-class TestDeferredMappingClose:
-    def test_mapping_survives_until_last_view_dies(self):
-        shm = SharedMemory(
-            create=True, name=f"arcstest{os.getpid():x}_defer",
-            size=1024,
-        )
-        name = shm.name
-        views = [
-            np.ndarray((8,), dtype=np.uint8, buffer=shm.buf,
-                       offset=8 * i)
-            for i in range(3)
-        ]
-        views[0][:] = 3
-        _close_mapping_when_views_die(shm, tuple(views))
-        survivor = views.pop(0)
-        del views
-        del shm  # SharedMemory.__del__ would close; finalizers hold it
-        gc.collect()
-        # Two views died and the handle was dropped, but the surviving
-        # view must still read through a live mapping (a dangling one
-        # would segfault the process, not raise).
-        assert survivor[0] == 3
-        del survivor
-        gc.collect()
-        # The close fired (not the unlink): the name is re-attachable.
-        cleanup = SharedMemory(name=name)
-        cleanup.close()
-        cleanup.unlink()
-
-
-class TestSharedScorerCache:
-    def test_falls_back_to_local_compile(self, model_dir,
-                                         segmentation):
-        registry = ModelRegistry(model_dir, refresh_interval=-1).load()
-        cache = SharedScorerCache(f"arcstest{os.getpid():x}nope")
-        try:
-            model = registry.models()[0]
-            scorer = cache.resolve(model)
-            x, y = [25.0, 5.0], [60_000.0, 1.0]
-            assert np.array_equal(
-                scorer.score_batch(x, y),
-                score_batch_scalar(segmentation, x, y),
-            )
-            # Cached: same object on the next resolve.
-            assert cache.resolve(model) is scorer
-        finally:
-            cache.close()
-
-    def test_prefers_published_block(self, model_dir):
-        registry = ModelRegistry(model_dir, refresh_interval=-1).load()
-        model = registry.models()[0]
-        prefix = f"arcstest{os.getpid():x}pub"
-        scorer = compile_compile = compile_scorer(model.segmentation)
-        shm = publish_tables(
-            scorer, block_name(prefix, model.model_id)
-        )
-        cache = SharedScorerCache(prefix)
-        try:
-            resolved = cache.resolve(model)
-            # An attached scorer's arrays live in the shared block,
-            # not in the LRU-cached compile.
-            assert resolved is not compile_compile
-            assert np.array_equal(resolved.table, scorer.table)
-        finally:
-            cache.close()
-            shm.close()
-            shm.unlink()
-
-    def test_sync_keeps_mapping_alive_for_inflight_scorers(
-            self, model_dir):
-        registry = ModelRegistry(model_dir, refresh_interval=-1).load()
-        model = registry.models()[0]
-        prefix = f"arcstest{os.getpid():x}inflt"
-        published = publish_tables(
-            compile_scorer(model.segmentation),
-            block_name(prefix, model.model_id),
-        )
-        cache = SharedScorerCache(prefix)
-        try:
-            scorer = cache.resolve(model)
-            # A hot reload drops the model while this "request" still
-            # holds the scorer: the entry goes away, but the shared
-            # views must stay valid (a closed mapping would segfault).
-            cache.sync(set())
-            with cache._lock:
-                assert cache._entries == {}
-            x, y = [25.0, 70.0], [60_000.0, 30_000.0]
-            assert np.array_equal(
-                scorer.score_batch(x, y),
-                score_batch_scalar(model.segmentation, x, y),
-            )
-        finally:
-            cache.close()
-            published.close()
-            published.unlink()
-
-    def test_corrupt_block_falls_back_to_local_compile(
-            self, model_dir, segmentation):
-        registry = ModelRegistry(model_dir, refresh_interval=-1).load()
-        model = registry.models()[0]
-        prefix = f"arcstest{os.getpid():x}bad"
-        shm = SharedMemory(
-            create=True, name=block_name(prefix, model.model_id),
-            size=1024,
-        )
-        shm.buf[:8] = struct.pack("<Q", 64)
-        shm.buf[8:72] = b"{" * 64  # torn header: not valid JSON
-        cache = SharedScorerCache(prefix)
-        try:
-            scorer = cache.resolve(model)  # must degrade, not raise
-            x, y = [25.0], [60_000.0]
-            assert np.array_equal(
-                scorer.score_batch(x, y),
-                score_batch_scalar(segmentation, x, y),
-            )
-        finally:
-            cache.close()
-            shm.close()
-            shm.unlink()
-
-
-class TestScorerPublisher:
-    def test_sync_publishes_and_retires(self, model_dir, tmp_path,
-                                        segmentation):
-        registry = ModelRegistry(model_dir, refresh_interval=0).load()
-        publisher = ScorerPublisher(f"arcstest{os.getpid():x}ret")
-        try:
-            generation = publisher.sync(registry.models())
-            model_id = registry.models()[0].model_id
-            name = publisher.block_for(model_id)
-            attached, handle = attach_scorer(name, segmentation)
-            handle.close()
-            # Drop the artefact: the next sync retires its block, but
-            # the name survives until every worker acks.
-            (model_dir / "groupA.json").unlink()
-            registry.refresh()
-            retire_generation = publisher.sync(registry.models())
-            assert retire_generation == generation + 1
-            publisher.note_ack(0, generation)
-            attached, handle = attach_scorer(name, segmentation)
-            handle.close()
-            # Both (all) workers past the retire generation: unlinked.
-            publisher.note_ack(0, retire_generation)
-            with pytest.raises(FileNotFoundError):
-                attach_scorer(name, segmentation)
-        finally:
-            publisher.close()
-
-    def test_externally_removed_block_tolerated(self, model_dir,
-                                                segmentation):
-        # An operator (or a tmpfs cleaner) removed the file under
-        # /dev/shm: retirement bookkeeping and shutdown must both
-        # survive, not wedge the ack loop or hang drain.
-        registry = ModelRegistry(model_dir, refresh_interval=0).load()
-        publisher = ScorerPublisher(f"arcstest{os.getpid():x}ext")
-        try:
-            generation = publisher.sync(registry.models())
-            model_id = registry.models()[0].model_id
-            name = publisher.block_for(model_id)
-            stolen = SharedMemory(name=name)
-            stolen.close()
-            stolen.unlink()
-            (model_dir / "groupA.json").unlink()
-            registry.refresh()
-            retire_generation = publisher.sync(registry.models())
-            assert retire_generation == generation + 1
-            publisher.note_ack(0, retire_generation)  # must not raise
-        finally:
-            publisher.close()  # must not raise either
-
-    def test_spawned_but_unacked_worker_blocks_unlink(
-            self, model_dir, segmentation):
-        # The startup window: worker 1 is forked (registered) but has
-        # never acked; a retirement must wait for its first ack even
-        # though every worker that HAS acked is already past it.
-        registry = ModelRegistry(model_dir, refresh_interval=0).load()
-        publisher = ScorerPublisher(f"arcstest{os.getpid():x}seed")
-        try:
-            publisher.sync(registry.models())
-            publisher.register_worker(0)
-            publisher.register_worker(1)
-            name = publisher.block_for(registry.models()[0].model_id)
-            (model_dir / "groupA.json").unlink()
-            registry.refresh()
-            retire_generation = publisher.sync(registry.models())
-            publisher.note_ack(0, retire_generation)
-            attached, handle = attach_scorer(name, segmentation)
-            handle.close()
-            publisher.note_ack(1, retire_generation)
-            with pytest.raises(FileNotFoundError):
-                attach_scorer(name, segmentation)
-        finally:
-            publisher.close()
-
-    def test_dead_worker_acks_reset(self, model_dir, segmentation):
-        registry = ModelRegistry(model_dir, refresh_interval=0).load()
-        publisher = ScorerPublisher(f"arcstest{os.getpid():x}rst")
-        try:
-            generation = publisher.sync(registry.models())
-            publisher.note_ack(0, generation)
-            publisher.note_ack(1, generation)
-            publisher.reset_worker(1)
-            model_id = registry.models()[0].model_id
-            name = publisher.block_for(model_id)
-            (model_dir / "groupA.json").unlink()
-            registry.refresh()
-            retire_generation = publisher.sync(registry.models())
-            publisher.note_ack(0, retire_generation)
-            # Worker 1 restarted and has not re-acked: block stays.
-            attached, handle = attach_scorer(name, segmentation)
-            handle.close()
-            publisher.note_ack(1, retire_generation)
-            with pytest.raises(FileNotFoundError):
-                attach_scorer(name, segmentation)
-        finally:
-            publisher.close()
 
 
 # ----------------------------------------------------------------------
@@ -499,18 +176,12 @@ class TestMultiProcessServer:
             text = response.read().decode()
         assert "arcs_serve_models_loaded" in text
 
-    def test_drain_joins_workers_and_unlinks_blocks(self, model_dir):
+    def test_drain_joins_workers(self, model_dir):
         server = MultiProcessServer(
             model_dir, port=0, workers=2, refresh_interval=-1,
         )
         server.start()
         pids = server.worker_pids()
-        model_id = server.registry.models()[0].model_id
-        shm_path = Path("/dev/shm") / server.publisher.block_for(
-            model_id
-        )
-        if Path("/dev/shm").is_dir():
-            assert shm_path.exists()
         server.drain(timeout=15.0)
         assert server.wait(timeout=1.0)
         for pid in pids:
@@ -518,8 +189,6 @@ class TestMultiProcessServer:
             # the reaping, so the pid must be gone (or recycled).
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
-        if Path("/dev/shm").is_dir():
-            assert not shm_path.exists()
         # New scoring work is refused outright: the socket is closed.
         with pytest.raises(OSError):
             _post(server.url, "/predict",
@@ -543,24 +212,27 @@ class TestMultiProcessServer:
 
         assert _wait_until(answers)
 
-    def test_hot_reload_serves_new_model(self, pool, model_dir):
-        second = Segmentation.from_rules(
-            [make_rule(0, 10, 0, 10, rhs="B")]
-        )
-        save_segmentation(second, model_dir / "groupB.json")
-        assert pool.poll_models()
-
-        def new_model_answers():
-            status, body = _post(pool.url, "/predict",
-                                 {"model": "groupB", "x": 5, "y": 5})
-            return status == 200 and body["in_segment"]
-
-        # Workers pick up the sync on their control loop; both must
-        # converge (the kernel round-robins accepts, so poll plenty).
-        assert _wait_until(new_model_answers)
-        assert _wait_until(lambda: all(
-            new_model_answers() for _ in range(8)
-        ))
+    def test_hot_reload_serves_new_model(self, model_dir):
+        # Interval 0 re-checks the directory on every request, so each
+        # worker's registry sees the new artefact on its next request.
+        server = MultiProcessServer(
+            model_dir, port=0, workers=2, refresh_interval=0,
+        ).start()
+        try:
+            second = Segmentation.from_rules(
+                [make_rule(0, 10, 0, 10, rhs="B")]
+            )
+            save_segmentation(second, model_dir / "groupB.json")
+            # Each call is a fresh connection, and the kernel spreads
+            # accepts across workers: every answer must already know
+            # groupB, whichever worker gives it.
+            for _ in range(8):
+                status, body = _post(server.url, "/predict",
+                                     {"model": "groupB", "x": 5, "y": 5})
+                assert status == 200, body
+                assert body["in_segment"]
+        finally:
+            server.drain(timeout=15.0)
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +304,7 @@ class TestFleetTelemetry:
             assert entry["uptime_seconds"] > 0
             assert entry["draining"] is False
             assert entry["last_snapshot_age_seconds"] >= 0
-            assert "ack_latency_seconds" in entry
+            assert "models" in entry
             assert entry["events"]["emitted"] > 0
         assert fleet["published_age_seconds"] >= 0
         # Two scrapes land wherever the kernel round-robins the accepts;
@@ -657,6 +329,19 @@ class TestFleetTelemetry:
                     continue
                 for _name, labels, _value in family["samples"]:
                     assert "worker" in labels
+
+    def test_every_worker_reports_the_models_it_serves(self, fleet_pool):
+        server, _ = fleet_pool
+        (model,) = server.registry.models()
+
+        def reported():
+            status, fleet = _get(server.url, "/fleet")
+            return (status == 200 and fleet.get("mode") == "fleet"
+                    and len(fleet["workers"]) == 2
+                    and all(entry["models"] == [model.model_id]
+                            for entry in fleet["workers"].values()))
+
+        assert _wait_until(reported)
 
     def test_metrics_scope_local_still_serves_one_process(
             self, fleet_pool):

@@ -26,10 +26,10 @@ checker machine-checks the conventions inside its configured roots:
   ``RLock``/``Condition``/``Event``/``Semaphore``/``Barrier``) created
   anywhere but ``__init__`` or module level guards nothing, because
   every call gets a fresh primitive — *unless the primitive escapes
-  the call*: captured by a closure (the per-mapping countdown lock in
-  ``serve/workers._close_mapping_when_views_die``), assigned to an
-  attribute (the ``reinit_after_fork`` re-arm idiom in ``repro.obs``),
-  returned, or passed to another call all make the same object shared
+  the call*: captured by a closure (a countdown lock shared by
+  finalizer callbacks), assigned to an attribute (the
+  ``reinit_after_fork`` re-arm idiom in ``repro.obs``), returned, or
+  passed to another call all make the same object shared
   across calls, which is exactly what a primitive is for.  A fresh
   primitive used *directly* (``threading.Event().wait(t)`` as a sleep)
   synchronises nobody but also lies to nobody, and is exempt.

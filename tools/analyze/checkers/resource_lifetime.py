@@ -10,9 +10,9 @@ three ends:
   path, or the value was ``with``-managed;
 * **escaped** — returned, yielded, stored on an attribute or into a
   container, passed to another call (including
-  ``weakref.finalize(...)``, the sanctioned deferred-close idiom in
-  ``serve/workers.py``), or captured by a nested function: ownership
-  left this frame and the frame owes nothing;
+  ``weakref.finalize(...)``, the sanctioned deferred-close idiom), or
+  captured by a nested function: ownership left this frame and the
+  frame owes nothing;
 * **leaked** — still open on some path with no escape: reported at the
   creation site.
 
@@ -21,13 +21,13 @@ certain (ran on *every* path to it).  Threads are exempt when
 ``daemon=True`` (the interpreter does not wait for them, by design —
 the repo's drain/stopper threads) or never started.
 
-One rule is deliberately sharper than plain leak tracking, encoding
-PR 7's shared-memory regression: calling ``shm.close()`` after a view
-of ``shm.buf`` (``np.ndarray(buffer=shm.buf)``, or binding ``shm.buf``
+One rule is deliberately sharper than plain leak tracking, encoding a
+shared-memory regression: calling ``shm.close()`` after a view of
+``shm.buf`` (``np.ndarray(buffer=shm.buf)``, or binding ``shm.buf``
 itself) has *escaped* unmaps the buffer under the view — the exported
-BufferError / use-after-unmap crash.  The fix the repo uses is
-deferring the close until the views die (``weakref.finalize`` on the
-view), which this checker recognises as an escape, not a leak.
+BufferError / use-after-unmap crash.  The fix is deferring the close
+until the views die (``weakref.finalize`` on the view), which this
+checker recognises as an escape, not a leak.
 
 Limitations, by design: attribute-held resources (``self._handle``)
 belong to the owning object's lifecycle, not a frame, and are out of
@@ -202,8 +202,8 @@ class _FunctionWalker:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             # Nested scope: anything it references is captured and may
-            # outlive this frame - an escape, exactly like the
-            # _view_collected closures in serve/workers.py.
+            # outlive this frame - an escape, exactly like a
+            # finalizer callback closing over a resource.
             self._escape_names(stmt, env)
             return env
         if isinstance(stmt, ast.Assign):
@@ -321,8 +321,8 @@ class _FunctionWalker:
             # The handler runs from the *pre-body* state: a resource
             # whose constructor raised was never created, so treating
             # body-created values as live here would report phantom
-            # leaks when the handler retries the construction (the
-            # stale-block recovery in serve/workers.publish_tables).
+            # leaks when the handler retries the construction (e.g.
+            # removing a stale block, then creating it again).
             basis = pre.clone()
             basis.terminated = False
             outcomes.append(self._exec_body(handler.body, basis))
