@@ -18,7 +18,10 @@ produces near optimal clusters" (Cormen et al.), and runs in time linear in
 the size of the final cluster set.  The cover does not re-enumerate the
 whole grid per cluster: each start row caches its best candidate, and a
 cleared rectangle only sends the start rows whose scan read its rows
-back to the scanner.
+back to the scanner.  A rescan builds no candidate rectangles: it
+counts each mask's runs from its run-start bits, skips a mask whose
+popcount times height cannot beat the best area so far, and finds the
+lowest longest run of the rest with ANDs and shifts alone.
 
 Two deliberately naive covers (:func:`single_cell_cover`,
 :func:`component_bounding_boxes`) are included as ablation baselines: the
@@ -77,25 +80,28 @@ def enumerate_rectangles(rows: Sequence[int]) -> list[GridRect]:
     start rows emit the same rectangle.  Returned sorted.
     """
     candidates = sorted(
-        GridRect(*candidate)
+        GridRect(start, start + height - 1, first_bit,
+                 first_bit + length - 1)
         for start in range(len(rows))
-        for candidate in _scan_start_row(rows, start)[0]
+        for mask, height in _scan_start_row(rows, start)[0]
+        for first_bit, length in runs_of_set_bits(mask)
     )
     metrics.inc("bitop.rectangles_enumerated", len(candidates))
     return candidates
 
 
 def _scan_start_row(rows: Sequence[int], start: int,
-                    ) -> tuple[list[tuple[int, int, int, int]], int]:
+                    ) -> tuple[list[tuple[int, int]], int]:
     """BitOp's AND-scan from one start row.
 
-    Returns the candidates whose top edge is ``start``, as
-    ``(x_lo, x_hi, y_lo, y_hi)`` int tuples, and the last row the scan
-    read.  The candidates depend only on rows ``start`` through that
-    row, which is what lets the greedy cover rescan just the start rows
-    a cleared rectangle touched.
+    Returns the ``(mask, height)`` emissions whose top edge is ``start``
+    (each run of set bits in ``mask`` is one candidate ``height`` rows
+    tall, and heights ascend) and the last row the scan read.  The
+    emissions depend only on rows ``start`` through that row, which is
+    what lets the greedy cover rescan just the start rows a cleared
+    rectangle touched.
     """
-    found: list[tuple[int, int, int, int]] = []
+    found: list[tuple[int, int]] = []
     mask = rows[start]
     reach = start
     if mask == 0:
@@ -104,22 +110,30 @@ def _scan_start_row(rows: Sequence[int], start: int,
     for reach in range(start + 1, len(rows)):
         extended = mask & rows[reach]
         if extended != mask:
-            _emit(found, mask, start, height)
+            found.append((mask, height))
             mask = extended
             if mask == 0:
                 break
         height += 1
     if mask:
-        _emit(found, mask, start, height)
+        found.append((mask, height))
     return found, reach
 
 
-def _emit(found: list[tuple[int, int, int, int]], mask: int,
-          start_row: int, height: int) -> None:
-    """Record one rectangle per run of set bits in ``mask``."""
-    x_hi = start_row + height - 1
-    for first_bit, length in runs_of_set_bits(mask):
-        found.append((start_row, x_hi, first_bit, first_bit + length - 1))
+def _longest_run(mask: int) -> tuple[int, int]:
+    """The lowest of the longest runs of set bits in a nonzero ``mask``,
+    as ``(first_bit, length)``.
+
+    After ``k`` rounds of ANDing the mask with itself shifted down one
+    bit, bit ``b`` is set exactly when bits ``b`` to ``b + k`` all are;
+    the last nonempty mask marks where the longest runs start.
+    """
+    length = 0
+    while mask:
+        starts = mask
+        mask &= mask >> 1
+        length += 1
+    return (starts & -starts).bit_length() - 1, length
 
 
 def largest_rectangle(rows: Sequence[int]) -> GridRect | None:
@@ -152,6 +166,12 @@ class BitOpClusterer:
     min_cells: int = 1
     max_clusters: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.min_cells < 1:
+            raise ValueError("min_cells must be at least 1")
+        if self.max_clusters is not None and self.max_clusters < 0:
+            raise ValueError("max_clusters must be non-negative")
+
     def cluster(self, grid: RuleGrid) -> list[GridRect]:
         """Return a greedy rectangle cover of the set cells of ``grid``.
 
@@ -159,8 +179,6 @@ class BitOpClusterer:
         set at the moment it was selected, so rectangles may overlap the
         *original* set cells but never contain a cell that was clear.
         """
-        if self.min_cells < 1:
-            raise ValueError("min_cells must be at least 1")
         with trace("bitop") as span:
             clusters = _greedy_cover(
                 grid.row_bitmaps(), self.min_cells, self.max_clusters
@@ -190,19 +208,29 @@ def _greedy_cover(rows: list[int], min_cells: int,
 
     def rescan(start: int) -> None:
         nonlocal enumerated
-        found, reach[start] = _scan_start_row(rows, start)
-        enumerated += len(found)
-        best[start] = min(
-            ((x_lo - x_hi - 1) * (y_hi - y_lo + 1), x_lo, x_hi, y_lo, y_hi)
-            for x_lo, x_hi, y_lo, y_hi in found
-        ) if found else None
+        emissions, reach[start] = _scan_start_row(rows, start)
+        top = None
+        area = 0
+        for mask, height in emissions:
+            # One candidate per run, and a run starts at each set bit
+            # whose lower neighbour is clear.
+            enumerated += (mask & ~(mask << 1)).bit_count()
+            # Taller emissions come later, so on equal areas the earlier
+            # one wins, as the (-area, x_hi, y_lo) order asks.
+            if mask.bit_count() * height <= area:
+                continue
+            first_bit, length = _longest_run(mask)
+            if length * height > area:
+                area = length * height
+                top = (-area, start, start + height - 1,
+                       first_bit, first_bit + length - 1)
+        best[start] = top
 
     for start in range(len(rows)):
         rescan(start)
     clusters: list[GridRect] = []
     while max_clusters is None or len(clusters) < max_clusters:
-        top = min((entry for entry in best if entry is not None),
-                  default=None)
+        top = min(filter(None, best), default=None)
         if top is None or -top[0] < min_cells:
             break
         rect = GridRect(*top[1:])

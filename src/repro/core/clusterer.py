@@ -82,6 +82,20 @@ class ClustererConfig:
     merge_clusters: bool = True
     merge_cover_fraction: float = 0.8
 
+    def __post_init__(self) -> None:
+        # The messages of the checks the pipeline stages would make
+        # mid-fit, raised before any binning or mining runs.
+        if not 0.0 < self.smoothing_threshold <= 1.0:
+            raise ValueError("threshold must be in (0, 1]")
+        if self.smoothing_passes < 0:
+            raise ValueError("passes must be non-negative")
+        if not 0.0 <= self.prune_fraction < 1.0:
+            raise ValueError("fraction must be in [0, 1)")
+        if self.min_cluster_cells < 1:
+            raise ValueError("min_cells must be at least 1")
+        if not 0.0 < self.merge_cover_fraction <= 1.0:
+            raise ValueError("cover_fraction must be in (0, 1]")
+
 
 @dataclass
 class ClusteringOutcome:

@@ -27,12 +27,22 @@ none).  The upper triangle of initial pairs is then scored in a few
 broadcasts, a block of rows at a time so the transient arrays stay
 small, and the admissible pairs go into a heap keyed
 ``(-cover, -area, id_i, id_j)``.  Each merge retires its two ids, gives
-the trimmed hull the next id and scores only that hull against the
-survivors; a popped pair with a retired id is skipped.  Survivors keep
-their order and the hull is appended, so id order is list order and the
-heap breaks ties exactly like the pairwise rescan of
+the hull the next id and scores only that hull against the survivors;
+a popped pair with a retired id is skipped.  Survivors keep their order
+and the hull is appended, so id order is list order and the heap breaks
+ties exactly like the pairwise rescan of
 :func:`repro.perf.reference.merge_clusters_scalar`, the oracle this
 function is tested ``==`` against.
+
+Each merge is cheap.  The hull of two trimmed rectangles needs no trim:
+each of its border lines is a border line of one of the two, which
+holds a set cell.  Every hull edge is some input's edge, so the hulls
+only look up the table at the inputs' edge rows and columns; that
+compressed table is gathered once into Python lists and each new hull
+is scored in plain Python, with the same integer counts and float64
+division as the batched setup.  Each id counts its pending heap
+entries, and when a merge leaves more than half the heap stale the live
+entries are kept and re-heapified in one go.
 """
 
 from __future__ import annotations
@@ -40,7 +50,7 @@ from __future__ import annotations
 import heapq
 import logging
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,40 +96,66 @@ def merge_clusters(clusters: Sequence[GridRect], grid: RuleGrid,
     integral = summed_area_table(grid.cells.astype(np.int64))
     kept = _trim_inputs(grid, integral, clusters)
     n = len(kept)
-    # Row k holds the bounds of cluster id k: the inputs first, then one
-    # hull per merge (there are at most n - 1 merges).
-    bounds = np.zeros((max(2 * n - 1, 1), 4), dtype=np.int64)
-    bounds[:n] = kept
-    alive = np.zeros(len(bounds), dtype=bool)
-    alive[:n] = True
+    # Every hull edge is some input's edge, so the hulls only ever look
+    # up these rows and columns of the table: score them in Python over
+    # the compressed table, with clusters as half-open index bounds.
+    xs = np.unique(np.concatenate((kept[:, 0], kept[:, 1] + 1)))
+    ys = np.unique(np.concatenate((kept[:, 2], kept[:, 3] + 1)))
+    table = integral[np.ix_(xs, ys)].tolist()
+    # Live clusters by id, in id order.
+    live = dict(enumerate(zip(
+        *np.searchsorted(xs, (kept[:, 0], kept[:, 1] + 1)).tolist(),
+        *np.searchsorted(ys, (kept[:, 2], kept[:, 3] + 1)).tolist(),
+    )))
+    xs, ys = xs.tolist(), ys.tolist()
     heap = _initial_pairs(integral, kept, cover_fraction)
     heapq.heapify(heap)
+    pending = _pending_counts(heap, 2 * n - 1)
+    stale = 0
     next_id = n
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        if not (alive[i] and alive[j]):
+        pending[i] -= 1
+        pending[j] -= 1
+        if i not in live or j not in live:
+            stale -= 1
             continue
-        alive[i] = alive[j] = False
-        hull = GridRect(
-            int(min(bounds[i, 0], bounds[j, 0])),
-            int(max(bounds[i, 1], bounds[j, 1])),
-            int(min(bounds[i, 2], bounds[j, 2])),
-            int(max(bounds[i, 3], bounds[j, 3])),
-        )
-        # Never None: the hull holds both clusters' set cells.
-        merged = _trim_to_content(grid, hull)
-        bounds[next_id] = (merged.x_lo, merged.x_hi,
-                           merged.y_lo, merged.y_hi)
-        survivors = np.flatnonzero(alive[:next_id])
-        alive[next_id] = True
-        for neg_cover, neg_area, k in _admissible_pairs(
-            integral, bounds, next_id, survivors, cover_fraction
-        ):
-            heapq.heappush(heap, (neg_cover, neg_area, k, next_id))
+        # An upper bound on the entries this merge makes stale: one
+        # whose other id died earlier was counted then too.
+        stale += pending[i] + pending[j]
+        # The hull of two trimmed clusters needs no trim: each border
+        # line is one of theirs and holds one of its set cells.
+        (a, b, c, d), (e, f, g, h) = live.pop(i), live.pop(j)
+        a, b, c, d = min(a, e), max(b, f), min(c, g), max(d, h)
+        for k, (e, f, g, h) in live.items():
+            if a < e:
+                e = a
+            if b > f:
+                f = b
+            if c < g:
+                g = c
+            if d > h:
+                h = d
+            area = (xs[f] - xs[e]) * (ys[h] - ys[g])
+            cover = (
+                table[f][h] - table[e][h] - table[f][g] + table[e][g]
+            ) / area
+            if cover >= cover_fraction:
+                heapq.heappush(heap, (-cover, -area, k, next_id))
+                pending[k] += 1
+                pending[next_id] += 1
+        live[next_id] = (a, b, c, d)
         next_id += 1
+        if 2 * stale > len(heap):
+            # Keys are unique, so the live entries pop in the same order.
+            heap = [entry for entry in heap
+                    if entry[2] in live and entry[3] in live]
+            heapq.heapify(heap)
+            pending = _pending_counts(heap, 2 * n - 1)
+            stale = 0
     result = [
-        GridRect(*row)
-        for row in bounds[:next_id][alive[:next_id]].tolist()
+        GridRect(xs[a], xs[b] - 1, ys[c], ys[d] - 1)
+        for a, b, c, d in live.values()
     ]
     if len(result) != len(clusters):
         logger.debug(
@@ -170,7 +206,7 @@ def _initial_pairs(integral: np.ndarray, bounds: np.ndarray,
     Returns the heap entries ``(-cover, -area, i, j)`` of the admissible
     pairs.  The upper triangle is scored a block of rows at a time, each
     block about :data:`_PAIR_BLOCK` pairs, with the same float64 division
-    as :func:`_admissible_pairs`.
+    as the per-merge scoring.
     """
     n = len(bounds)
     entries: list[tuple[float, int, int, int]] = []
@@ -190,20 +226,14 @@ def _initial_pairs(integral: np.ndarray, bounds: np.ndarray,
     return entries
 
 
-def _admissible_pairs(integral: np.ndarray, bounds: np.ndarray,
-                      anchor: int, partners: np.ndarray,
-                      cover_fraction: float,
-                      ) -> Iterator[tuple[float, int, int]]:
-    """Score the hulls of cluster ``anchor`` with each of ``partners``.
-
-    Yields ``(-cover, -area, partner)`` for every admissible hull.
-    """
-    covers, areas = _hull_scores(integral, bounds[anchor], bounds[partners])
-    keep = covers >= cover_fraction
-    return zip(
-        (-covers[keep]).tolist(), (-areas[keep]).tolist(),
-        partners[keep].tolist(),
-    )
+def _pending_counts(heap: list[tuple[float, int, int, int]],
+                    n_ids: int) -> list[int]:
+    """How many of the heap's entries name each id."""
+    pending = [0] * n_ids
+    for _, _, i, j in heap:
+        pending[i] += 1
+        pending[j] += 1
+    return pending
 
 
 def _hull_scores(integral: np.ndarray, first: np.ndarray,

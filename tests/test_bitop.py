@@ -172,8 +172,18 @@ class TestBitOpClusterer:
         assert BitOpClusterer().cluster(RuleGrid.empty(3, 3)) == []
 
     def test_rejects_bad_min_cells(self):
-        with pytest.raises(ValueError):
-            BitOpClusterer(min_cells=0).cluster(RuleGrid.empty(2, 2))
+        with pytest.raises(ValueError, match="min_cells must be at least 1"):
+            BitOpClusterer(min_cells=0)
+
+    def test_rejects_negative_max_clusters(self):
+        with pytest.raises(ValueError,
+                           match="max_clusters must be non-negative"):
+            BitOpClusterer(max_clusters=-1)
+
+    def test_zero_max_clusters_takes_nothing(self):
+        grid = RuleGrid.empty(3, 3)
+        grid.set_rect(GridRect(0, 2, 0, 2))
+        assert BitOpClusterer(max_clusters=0).cluster(grid) == []
 
     def test_greedy_takes_big_rectangle_first(self):
         grid = RuleGrid.empty(8, 8)

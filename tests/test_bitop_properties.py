@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from repro.core.bitop import (
     BitOpClusterer,
+    _longest_run,
     brute_force_maximal_rectangles,
     enumerate_rectangles,
     runs_of_set_bits,
 )
 from repro.core.grid import RuleGrid
+from repro.obs import metrics
 
 
 @st.composite
@@ -46,6 +48,42 @@ def test_runs_are_maximal(mask):
         if start > 0:
             assert not (mask >> (start - 1)) & 1
         assert not (mask >> (start + length)) & 1
+
+
+@st.composite
+def seeded_grids(draw, max_rows=10, max_cols=130):
+    """Grids up to ``max_cols`` wide (rows past one 64-bit word) at any
+    set-cell density."""
+    n_rows = draw(st.integers(1, max_rows))
+    n_cols = draw(st.integers(1, max_cols))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return RuleGrid(rng.random((n_rows, n_cols)) < density)
+
+
+@given(st.integers(min_value=1, max_value=1 << 200))
+def test_longest_run_is_the_lowest_longest_run(mask):
+    runs = runs_of_set_bits(mask)
+    longest = max(length for _, length in runs)
+    assert _longest_run(mask) == next(
+        run for run in runs if run[1] == longest
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeded_grids())
+def test_cover_counts_every_candidate_of_its_first_scan(grid):
+    """With no cluster taken, the cover's count of enumerated candidates
+    is exactly the enumeration's, though it builds none of them."""
+    expected = len(enumerate_rectangles(grid.row_bitmaps()))
+    registry = metrics.MetricsRegistry()
+    previous = metrics.swap_registry(registry)
+    try:
+        assert BitOpClusterer(max_clusters=0).cluster(grid) == []
+    finally:
+        metrics.swap_registry(previous)
+    counters = registry.snapshot()["counters"]
+    assert counters.get("bitop.rectangles_enumerated", 0) == expected
 
 
 @settings(max_examples=150, deadline=None)

@@ -98,6 +98,34 @@ class TestPipeline:
         assert unpruned.n_rules >= pruned.n_rules
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"smoothing_threshold": 0.0}, r"threshold must be in \(0, 1\]"),
+        ({"smoothing_threshold": 1.5}, r"threshold must be in \(0, 1\]"),
+        ({"smoothing_passes": -1}, "passes must be non-negative"),
+        ({"prune_fraction": 1.0}, r"fraction must be in \[0, 1\)"),
+        ({"prune_fraction": -0.1}, r"fraction must be in \[0, 1\)"),
+        ({"min_cluster_cells": 0}, "min_cells must be at least 1"),
+        ({"merge_cover_fraction": 0.0},
+         r"cover_fraction must be in \(0, 1\]"),
+        ({"merge_cover_fraction": 1.5},
+         r"cover_fraction must be in \(0, 1\]"),
+        # Checked even where the stage that reads it is switched off.
+        ({"merge_cover_fraction": 1.5, "merge_clusters": False},
+         r"cover_fraction must be in \(0, 1\]"),
+        ({"smoothing_threshold": 0.0, "smoothing": False},
+         r"threshold must be in \(0, 1\]"),
+    ])
+    def test_rejects_bad_values_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ClustererConfig(**kwargs)
+
+    def test_accepts_boundary_values(self):
+        ClustererConfig(smoothing_threshold=1.0, smoothing_passes=0,
+                        prune_fraction=0.0, min_cluster_cells=1,
+                        merge_cover_fraction=1.0)
+
+
 class TestClusteredRuleFromRect:
     def test_interval_translation(self, clean_setup):
         bin_array, code = clean_setup
