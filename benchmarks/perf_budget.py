@@ -223,7 +223,7 @@ def bench_scorer(n: int, trials: int) -> dict:
     loop vs the compiled position-table lookup.
 
     Compilation happens outside the timed region — the serving path
-    compiles once per model (LRU-cached) and scores per request.
+    compiles once per model load and scores per request.
     """
     rng = np.random.default_rng(505)
     rules = []

@@ -46,7 +46,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.prometheus import parse_prometheus, render_prometheus
 from repro.obs.report import RunCapture, RunReport, config_fingerprint
-from repro.obs.timing import best_of, timed
+from repro.obs.timing import best_of
 from repro.obs.trace_export import chrome_trace, write_chrome_trace
 from repro.obs.tracing import Span, current_span, trace
 
@@ -68,7 +68,6 @@ __all__ = [
     "metrics",
     "parse_prometheus",
     "render_prometheus",
-    "timed",
     "trace",
     "tracing",
     "write_chrome_trace",

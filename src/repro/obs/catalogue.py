@@ -112,12 +112,6 @@ METRICS: dict[str, tuple[str, str]] = {
     'serve.requests_{endpoint}':
         ('counter',
          'requests per endpoint (`predict`, `predict_batch`, `explain`, `models`, `healthz`, `metrics`, `stats`, `fleet`, `profile`)'),
-    'serve.scorer_cache_hits':
-        ('counter',
-         '`compile_scorer` LRU cache hits'),
-    'serve.scorer_cache_misses':
-        ('counter',
-         '`compile_scorer` LRU cache misses'),
     'serve.shed_total{endpoint}':
         ('counter',
          'requests shed with HTTP 429 at the in-flight scoring bound, labeled by endpoint'),

@@ -7,10 +7,6 @@ minimal ``timeit``-style loop on :func:`time.perf_counter` — the same
 monotonic clock every :class:`~repro.obs.tracing.Span` uses — that
 reports the *minimum* over trials (the standard estimator for a noisy
 machine: the minimum is the run least disturbed by other load).
-
-:func:`timed` additionally feeds the measurement into the metrics layer
-as a histogram observation, so harness timings land in the same
-``RunReport`` plumbing as pipeline stage timings.
 """
 
 from __future__ import annotations
@@ -18,9 +14,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable
 
-from repro.obs import metrics
-
-__all__ = ["best_of", "timed"]
+__all__ = ["best_of"]
 
 
 def best_of(fn: Callable[[], object], trials: int = 5,
@@ -46,12 +40,3 @@ def best_of(fn: Callable[[], object], trials: int = 5,
             best = elapsed
     return best / number
 
-
-def timed(name: str, fn: Callable[[], object], trials: int = 5,
-          number: int = 1) -> float:
-    """:func:`best_of`, also recorded as a ``{name}`` histogram
-    observation on the active metrics registry (a no-op when metrics are
-    disabled)."""
-    seconds = best_of(fn, trials=trials, number=number)
-    metrics.observe(name, seconds)
-    return seconds

@@ -46,12 +46,7 @@ from repro.serve.registry import (
     ModelRegistry,
     ServedModel,
 )
-from repro.serve.scorer import (
-    CompiledScorer,
-    ScoringError,
-    compile_scorer,
-    scorer_cache_clear,
-)
+from repro.serve.scorer import CompiledScorer, ScoringError, compile_scorer
 from repro.serve.service import (
     PredictionServer,
     PredictionService,
@@ -84,5 +79,4 @@ __all__ = [
     "drain_server",
     "run_multiprocess_server",
     "run_server",
-    "scorer_cache_clear",
 ]

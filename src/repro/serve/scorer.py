@@ -5,33 +5,35 @@ axis-aligned value-space rectangles.  Answering "which segment is this
 tuple in?" by testing every rule per request is fine for one query but
 wasteful for serving: the rectangles never change between queries, so
 the rule set can be *compiled* once into a dense lookup table and every
-prediction becomes two ``searchsorted`` calls plus one 2-D gather.
+prediction becomes two ``searchsorted`` calls per axis plus one 2-D
+gather.
 
-The compilation follows the same convention as
-:meth:`repro.binning.strategies.BinLayout.assign` (``searchsorted``
-side-``right`` over a monotone edge array), with one refinement so
-interval closedness matches :attr:`~repro.core.rules.Interval.closed_high`
-*exactly*: every distinct interval endpoint becomes both a zero-width
-**boundary position** and a bound of the **open cells** around it.  For
-``m`` distinct x-endpoints there are ``2m + 1`` x-positions::
+The compilation gives interval closedness exactly the semantics of
+:attr:`~repro.core.rules.Interval.closed_high`: every distinct interval
+endpoint becomes both a zero-width **boundary position** and a bound of
+the **open cells** around it.  For ``m`` distinct x-endpoints there are
+``2m + 1`` x-positions::
 
     position 2k     — the boundary value ``edges[k]`` itself
     position 2k + 1 — the open cell ``(edges[k], edges[k+1])``
     positions 2m-1, 2m — padding for out-of-range values (no rule)
 
+A value's position is ``searchsorted(edges, v, "left") +
+searchsorted(edges, v, "right") - 1``: the two sides differ by one
+exactly when ``v`` is an edge.  A value below ``edges[0]`` gives
+``-1``, which as an index picks the last (padding) position ``2m``.
 Within an open cell no interval starts or ends, so whether a rule
-covers the cell is decided by edge comparisons alone — no floating-point
-midpoints anywhere.  A boundary value belongs to ``[low, high)`` or
-``[low, high]`` per the rule's own ``closed_high``.  The compiled table
-stores, per (x-position, y-position), the index of the **first matching
-rule** (segmentation order), or ``-1`` for "outside every rule" — which
-is what ``/explain`` reports as the rule that fired.
+covers the cell is decided by edge comparisons alone — no
+floating-point midpoints anywhere.  A boundary value belongs to
+``[low, high)`` or ``[low, high]`` per the rule's own ``closed_high``.
+The compiled table stores, per (x-position, y-position), the index of
+the **first matching rule** (segmentation order), or ``-1`` for
+"outside every rule" — which is what ``/explain`` reports as the rule
+that fired.
 
 The serving registry compiles each model once, when it loads it
-(:attr:`~repro.serve.registry.ServedModel.scorer`).  Compilation is also
-cached (:func:`compile_scorer`), so reloading an unchanged segmentation
-reuses its scorer; cache hits/misses land in the
-``serve.scorer_cache_*`` counters.  The scalar twin lives in
+(:attr:`~repro.serve.registry.ServedModel.scorer`); a compile takes well
+under a millisecond, so nothing caches it.  The scalar twin lives in
 :func:`repro.perf.reference.score_batch_scalar` and the two are held
 bit-identical by ``tests/test_serve_properties.py`` and the ``scorer``
 perf budget.
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -56,7 +57,6 @@ __all__ = [
     "CompiledScorer",
     "ScoringError",
     "compile_scorer",
-    "scorer_cache_clear",
 ]
 
 
@@ -103,8 +103,13 @@ def _positions(edges: np.ndarray, values: np.ndarray,
                attribute: str) -> np.ndarray:
     """Map values to position indices (see the module docstring).
 
-    Mirrors :meth:`BinLayout.assign`'s side-``right`` convention and its
-    NaN policy: a NaN would otherwise land silently in a padding slot.
+    The left and right ``searchsorted`` agree between edges and differ
+    by one on an edge, so their sum minus one is ``2k`` on ``edges[k]``
+    and ``2k + 1`` inside ``(edges[k], edges[k+1])``.  Below the first
+    edge it is ``-1``, the last (padding) position; with no edges it is
+    ``-1`` on a 1x1 table.  NaN is rejected, as
+    :meth:`BinLayout.assign` rejects it: it would otherwise land
+    silently in a padding slot.
     """
     values = np.asarray(values, dtype=np.float64)
     if np.isnan(values).any():
@@ -112,16 +117,8 @@ def _positions(edges: np.ndarray, values: np.ndarray,
             f"column {attribute!r} contains NaN; clean the data "
             "before scoring"
         )
-    m = len(edges)
-    if m == 0:  # empty segmentation: the single padding position
-        return np.zeros(values.shape, dtype=np.int64)
-    j = np.searchsorted(edges, values, side="right") - 1
-    clamped = np.clip(j, 0, m - 1)
-    on_edge = edges[clamped] == values
-    positions = np.where(on_edge, 2 * clamped, 2 * clamped + 1)
-    # Below edges[0] -> padding slot 2m; above edges[-1] falls out as
-    # position 2m-1 (also padding) because the top value is not an edge.
-    return np.where(j < 0, 2 * m, positions)
+    return (np.searchsorted(edges, values, "left")
+            + np.searchsorted(edges, values, "right") - 1)
 
 
 @dataclass(frozen=True, eq=False)  # eq=False: arrays compare by identity
@@ -144,8 +141,8 @@ class CompiledScorer:
     def score_batch(self, x_values, y_values) -> np.ndarray:
         """First-matching-rule index per point (``-1`` = no rule).
 
-        Vectorised: two ``searchsorted`` calls and one gather, O(log m)
-        per tuple with tiny constants — the serving hot path.
+        Vectorised: two ``searchsorted`` calls per axis and one gather,
+        O(log m) per tuple with tiny constants — the serving hot path.
         """
         x_positions = _positions(
             self.x_edges, x_values, self.segmentation.x_attribute
@@ -180,7 +177,8 @@ class CompiledScorer:
         return None if index < 0 else self.segmentation.rules[index]
 
 
-def _compile(segmentation: Segmentation) -> CompiledScorer:
+def compile_scorer(segmentation: Segmentation) -> CompiledScorer:
+    """Compile a segmentation into its position table."""
     started = perf_counter()
     rules = list(segmentation.rules)
     x_edges = _endpoint_edges([rule.x_interval for rule in rules])
@@ -207,26 +205,3 @@ def _compile(segmentation: Segmentation) -> CompiledScorer:
         table=table,
     )
 
-
-_compile_cached = lru_cache(maxsize=128)(_compile)
-
-
-def compile_scorer(segmentation: Segmentation) -> CompiledScorer:
-    """The cached compile step: same segmentation, same scorer object.
-
-    ``Segmentation`` is a frozen dataclass of frozen parts, so it keys
-    the LRU cache directly; a registry hot-reload produces a *new*
-    segmentation object and therefore a fresh compile.
-    """
-    before = _compile_cached.cache_info().hits
-    scorer = _compile_cached(segmentation)
-    if _compile_cached.cache_info().hits > before:
-        metrics.inc("serve.scorer_cache_hits")
-    else:
-        metrics.inc("serve.scorer_cache_misses")
-    return scorer
-
-
-def scorer_cache_clear() -> None:
-    """Drop every compiled scorer (tests, long-lived processes)."""
-    _compile_cached.cache_clear()

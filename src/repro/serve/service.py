@@ -148,26 +148,35 @@ def _require(payload: dict, key: str):
     return payload[key]
 
 
+def _is_number_type(kind: type) -> bool:
+    """JSON numbers only: ``bool`` is an ``int`` subclass, not a number."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
 def _number(payload: dict, key: str) -> float:
     value = _require(payload, key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number_type(type(value)):
         raise ServiceError(400, f"field {key!r} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float64
+        raise ServiceError(
+            400, f"field {key!r} is out of the float64 range"
+        ) from None
 
 
 def _number_array(payload: dict, key: str) -> np.ndarray:
     value = _require(payload, key)
-    if not isinstance(value, list):
+    # One pass over the elements collects their distinct types.
+    if not isinstance(value, list) or not all(
+            map(_is_number_type, set(map(type, value)))):
         raise ServiceError(400, f"field {key!r} must be a list of numbers")
     try:
-        array = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+        return np.asarray(value, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond float64
         raise ServiceError(
-            400, f"field {key!r} must be a list of numbers"
+            400, f"field {key!r} holds a number out of the float64 range"
         ) from None
-    if array.ndim != 1:
-        raise ServiceError(400, f"field {key!r} must be one-dimensional")
-    return array
 
 
 def _interval_dict(interval) -> dict:

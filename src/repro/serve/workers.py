@@ -291,10 +291,6 @@ def _worker_main(index: int, worker_count: int, listen_socket,
         # now in the registry (handler threads are joined), so the
         # parent's last publish covers the complete totals.
         _ship_telemetry(draining=True)
-        try:
-            acks.put(("stopped", index))
-        except (OSError, ValueError):
-            pass  # parent gone
         logger.info("worker %d drained (pid %d)", index, os.getpid())
 
 

@@ -4,20 +4,14 @@ Parsed, never imported.  Expected findings:
 
 1. ``leak_on_branch`` — the early-return path drops an open file;
 2. ``double_close`` — the handle is closed on every path, then again;
-3. ``close_under_views`` — PR 7's shared-memory regression: the block
-   is closed while a numpy view over ``shm.buf`` has escaped (the
-   mapping is unmapped under the caller's array);
-4. ``thread_never_joined`` — a non-daemon thread is started, never
+3. ``thread_never_joined`` — a non-daemon thread is started, never
    joined, and never escapes the frame;
-5. ``leak_by_rebind`` — the first socket is dropped, still open, when
+4. ``leak_by_rebind`` — the first socket is dropped, still open, when
    the name is rebound to a second one.
 """
 
 import socket
 import threading
-from multiprocessing.shared_memory import SharedMemory
-
-import numpy as np
 
 
 def leak_on_branch(path: str, strict: bool) -> int:
@@ -35,14 +29,6 @@ def double_close(path: str) -> str:
     handle.close()
     handle.close()  # second close is certain
     return text
-
-
-def close_under_views(name: str) -> "np.ndarray":
-    shm = SharedMemory(name=name)
-    table = np.ndarray((16,), dtype=np.float64, buffer=shm.buf)
-    result = table * 2.0
-    shm.close()  # unmaps the buffer under 'table'
-    return table
 
 
 def thread_never_joined(work) -> None:

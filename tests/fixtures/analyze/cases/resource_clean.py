@@ -2,8 +2,7 @@
 
 Each pattern here is the cure for a positive in ``resource_bad.py`` —
 ``with`` blocks, ``try/finally`` release, deliberate escape (the caller
-owns the handle), the ``weakref.finalize`` deferred-close idiom from
-``serve/workers.py``, daemon threads, and the close-then-rename tempfile
+owns the handle), daemon threads, and the close-then-rename tempfile
 publish from ``stream/refitter.py``.  The checker must stay silent.
 """
 
@@ -11,10 +10,6 @@ import os
 import socket
 import tempfile
 import threading
-import weakref
-from multiprocessing.shared_memory import SharedMemory
-
-import numpy as np
 
 _REGISTRY: dict[str, object] = {}
 
@@ -40,14 +35,6 @@ def escape_by_return(path: str):
 def escape_by_registry(name: str) -> None:
     sock = socket.socket()
     _REGISTRY[name] = sock  # ownership moves to the registry
-
-
-def deferred_close(name: str) -> "np.ndarray":
-    """The workers.py idiom: close rides on the view's finalizer."""
-    shm = SharedMemory(name=name)
-    table = np.ndarray((16,), dtype=np.float64, buffer=shm.buf)
-    weakref.finalize(table, shm.close)
-    return table
 
 
 def daemon_watch(work) -> None:

@@ -221,13 +221,10 @@ def test_fork_safety_partial_scan_keeps_only_local_rules():
 def test_resource_lifetime_fires_on_each_rule():
     result = run_single(ResourceLifetimeChecker, "resource_bad.py")
     messages = " | ".join(f.message for f in result.findings)
-    assert len(result.findings) == 5
-    assert sorted(f.line for f in result.findings) == [
-        24, 36, 44, 49, 55,
-    ]
+    assert len(result.findings) == 4
+    assert sorted(f.line for f in result.findings) == [18, 30, 35, 41]
     assert "not close()d on every path" in messages
     assert "close()d again" in messages
-    assert "closed while views over its buffer escape" in messages
     assert "never join()ed on some path" in messages
     assert "socket 'sock'" in messages
 

@@ -542,13 +542,14 @@ class TestScorerEquivalence:
 
         rng = np.random.default_rng(43)
         segmentation = self._segmentation(rng, n_rules=8)
-        # Query exactly on every interval endpoint, in both axes.
+        # Query exactly on every interval endpoint, in both axes, and
+        # at -inf and +inf beyond them.
         bounds = np.array(sorted({
             float(bound)
             for rule in segmentation.rules
             for interval in (rule.x_interval, rule.y_interval)
             for bound in (interval.low, interval.high)
-        }))
+        } | {-np.inf, np.inf}))
         xs, ys = map(np.ravel, np.meshgrid(bounds, bounds))
         assert np.array_equal(
             compile_scorer(segmentation).score_batch(xs, ys),

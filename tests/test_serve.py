@@ -28,8 +28,10 @@ from repro.serve import (
     TrafficMonitors,
     compile_scorer,
     create_server,
-    scorer_cache_clear,
 )
+
+#: What ``json.loads`` makes of a 400-digit integer literal: beyond float64.
+HUGE_INT = int("9" * 400)
 
 
 def make_rule(x_lo, x_hi, y_lo, y_hi, *, x_closed=False, y_closed=False,
@@ -124,14 +126,6 @@ class TestCompiledScorer:
         scorer = compile_scorer(segmentation)
         with pytest.raises(ValueError, match="differ"):
             scorer.score_batch(np.zeros(3), np.zeros(4))
-
-    def test_compile_is_cached_per_segmentation_value(self, segmentation):
-        scorer_cache_clear()
-        first = compile_scorer(segmentation)
-        assert compile_scorer(segmentation) is first
-        # An equal-valued segmentation hits the same cache entry.
-        clone = Segmentation.from_rules(list(segmentation.rules))
-        assert compile_scorer(clone) is first
 
     def test_table_is_immutable(self, segmentation):
         scorer = compile_scorer(segmentation)
@@ -339,6 +333,7 @@ class TestPredictionService:
         {"model": "groupA", "y": 2},                     # no x
         {"model": "groupA", "x": "wide", "y": 2},        # non-numeric
         {"model": "groupA", "x": True, "y": 2},          # bool is not a number
+        {"model": "groupA", "x": HUGE_INT, "y": 1},      # beyond float64
     ])
     def test_bad_predict_payloads_are_400(self, service, payload):
         with pytest.raises(ServiceError) as exc:
@@ -350,6 +345,9 @@ class TestPredictionService:
         {"model": "groupA", "x": 1, "y": [2]},           # not a list
         {"model": "groupA", "x": [[1]], "y": [[2]]},     # not 1-D
         {"model": "groupA", "x": [float("nan")], "y": [2.0]},  # NaN
+        {"model": "groupA", "x": [HUGE_INT], "y": [1]},  # beyond float64
+        {"model": "groupA", "x": [True, 1], "y": [1, 2]},  # bool element
+        {"model": "groupA", "x": [1, "5"], "y": [1, 2]},   # numeric string
     ])
     def test_bad_batch_payloads_are_400(self, service, payload):
         with pytest.raises(ServiceError) as exc:
@@ -362,6 +360,20 @@ class TestPredictionService:
         assert status == 404 and "error" in body
         status, _ = service.dispatch("no-such-endpoint", {})
         assert status == 404
+
+    def test_explain_out_of_range_number_is_400(self, service):
+        status, body = service.dispatch(
+            "explain", {"model": "groupA", "x": 1, "y": HUGE_INT}
+        )
+        assert status == 400 and "error" in body
+
+    def test_infinite_coordinates_score_outside_every_rule(self, service):
+        inf = float("inf")
+        status, body = service.dispatch("predict_batch", {
+            "model": "groupA", "x": [-inf, inf, 25], "y": [60_000] * 3,
+        })
+        assert status == 200
+        assert body["rule"] == [-1, -1, 0]
 
     def test_dispatch_records_metrics(self, service):
         from repro.obs import metrics as metrics_mod

@@ -42,7 +42,8 @@ def segmentations(draw, max_rules=6):
 
 @st.composite
 def query_points(draw, segmentation, max_points=40):
-    """Points biased onto the segmentation's own interval endpoints."""
+    """Points biased onto the segmentation's own interval endpoints,
+    with +-inf beyond every edge."""
     endpoints = sorted(
         {
             float(bound)
@@ -54,6 +55,7 @@ def query_points(draw, segmentation, max_points=40):
     coordinate = st.one_of(
         st.sampled_from(endpoints),
         st.floats(min_value=-7, max_value=7, allow_nan=False),
+        st.sampled_from([-np.inf, np.inf]),
     )
     n = draw(st.integers(1, max_points))
     xs = draw(st.lists(coordinate, min_size=n, max_size=n))

@@ -142,9 +142,9 @@ class ForkSite:
     held: tuple[str, ...]
     #: Summary keys of the child entry point (``Process(target=f)``).
     child_targets: tuple[str, ...] = ()
-    #: Argument expressions whose inferred type is a file/SharedMemory
-    #: handle, passed to the child via ``args=``: (lineno, type, name).
-    handle_args: tuple[tuple[str, str], ...] = ()
+    #: Names of locals holding open files, passed to the child via
+    #: ``args=``.
+    handle_args: tuple[str, ...] = ()
 
 
 @dataclass
@@ -574,8 +574,8 @@ class _FunctionWalker:
         self.local_threads: dict[str, bool | None] = {}
         #: locals holding process objects (mp.Process flavoured)
         self.local_processes: dict[str, ast.Call] = {}
-        #: locals holding file/SharedMemory handles: name -> type label
-        self.local_handles: dict[str, str] = {}
+        #: locals holding open file handles
+        self.local_handles: set[str] = set()
         #: globals declared with ``global X``
         self.declared_globals: set[str] = set()
         self._closed_globals_before_rebind: set[str] = set()
@@ -733,15 +733,10 @@ class _FunctionWalker:
                     self.local_threads[name] = _literal_kwarg(
                         value, "daemon")
                     continue
-                if resolved in ("multiprocessing.shared_memory"
-                                ".SharedMemory",
-                                "multiprocessing.SharedMemory"):
-                    self.local_handles[name] = "SharedMemory"
-                    continue
                 if (resolved in _SINK_CONSTRUCTORS
                         or (isinstance(value.func, ast.Name)
                             and value.func.id == "open")):
-                    self.local_handles[name] = "file"
+                    self.local_handles.add(name)
                     continue
                 if _is_process_ctor(value, resolved):
                     self.local_processes[name] = value
@@ -842,7 +837,7 @@ class _FunctionWalker:
     def _note_fork(self, node: ast.Call, held: tuple[str, ...],
                    ctor: ast.Call) -> None:
         child_targets: list[str] = []
-        handle_args: list[tuple[str, str]] = []
+        handle_args: list[str] = []
         for kw in ctor.keywords:
             if kw.arg == "target":
                 target_keys = self._callable_keys(kw.value)
@@ -850,10 +845,9 @@ class _FunctionWalker:
             elif kw.arg == "args" and isinstance(
                     kw.value, (ast.Tuple, ast.List)):
                 for element in kw.value.elts:
-                    if isinstance(element, ast.Name):
-                        handle = self.local_handles.get(element.id)
-                        if handle is not None:
-                            handle_args.append((handle, element.id))
+                    if (isinstance(element, ast.Name)
+                            and element.id in self.local_handles):
+                        handle_args.append(element.id)
         self.summary.forks.append(ForkSite(
             lineno=node.lineno, kind="process-start", held=held,
             child_targets=tuple(child_targets),

@@ -31,11 +31,11 @@ when the child's reachable closure closes a module global and no
 forgetter for that global is reachable from the same entry point (and
 no ``after_in_child`` hook is registered by the forking module).
 
-**D — OS handles crossing the fork boundary via args.**  A file or
-``SharedMemory`` object passed in ``Process(args=...)`` shares its
-seek offset / mapping lifetime with the parent.  Pass *names* or
-descriptors intended for sharing (sockets, pipes, queues are exempt —
-pre-fork listener passing is the point of the pattern).
+**D — open files crossing the fork boundary via args.**  A file object
+passed in ``Process(args=...)`` shares its seek offset with the
+parent.  Pass *names* or descriptors intended for sharing (sockets,
+pipes, queues are exempt — pre-fork listener passing is the point of
+the pattern).
 
 Rules A–C hinge on the *absence* of a hook or forgetter, so they are
 gated on ``result.complete`` — a partial scan (pre-commit's staged
@@ -75,13 +75,13 @@ class ForkSafetyChecker(Checker):
             for fork in summary.forks:
                 if fork.kind == "spawn":
                     continue  # fork+exec replaces the image: A-D moot
-                for kind, name in fork.handle_args:
+                for name in fork.handle_args:
                     self._report(
                         result, summary.rel, fork.lineno,
-                        f"{kind} handle {name!r} passed into the "
+                        f"file handle {name!r} passed into the "
                         f"child via Process args; the copy shares "
-                        f"the parent's offset/mapping lifetime - "
-                        f"pass a name or reopen in the child",
+                        f"the parent's offset - pass a name or "
+                        f"reopen in the child",
                     )
                 if not result.complete:
                     continue

@@ -5,7 +5,7 @@ metric renamed at one emitter silently breaks every consumer.  This
 cross-file pass extracts every metric and span name passed to the obs
 layer — string literals and f-string templates (``f"serve.{endpoint}"``
 becomes the pattern ``serve.{endpoint}``) — at the emitter call sites
-(``metrics.inc`` / ``set_gauge`` / ``observe`` / ``timed``, and
+(``metrics.inc`` / ``set_gauge`` / ``observe``, and
 ``trace`` / ``Span`` / ``RunCapture`` for spans) and diffs them against
 the checked-in catalogue :mod:`repro.obs.catalogue`.  A metric emitted
 with a ``labels={...}`` literal is recorded as a *labeled series* —
@@ -51,7 +51,6 @@ _METRIC_KINDS = {
     "inc": "counter",
     "set_gauge": "gauge",
     "observe": "histogram",
-    "timed": "histogram",
     "counter": "counter",
     "gauge": "gauge",
     "histogram": "histogram",

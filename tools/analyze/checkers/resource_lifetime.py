@@ -2,9 +2,8 @@
 
 A per-function abstract interpretation (no call graph needed): locals
 bound to resource constructors — ``open()``/``tempfile.*`` files,
-``socket.socket()``, ``SharedMemory(...)``, ``threading.Thread(...)``
-— are tracked through branches, loops and ``try/finally`` to one of
-three ends:
+``socket.socket()``, ``threading.Thread(...)`` — are tracked through
+branches, loops and ``try/finally`` to one of three ends:
 
 * **released** — ``close()`` (``join()`` for threads) ran on every
   path, or the value was ``with``-managed;
@@ -20,14 +19,6 @@ Double release is reported at the second call when the first is
 certain (ran on *every* path to it).  Threads are exempt when
 ``daemon=True`` (the interpreter does not wait for them, by design —
 the repo's drain/stopper threads) or never started.
-
-One rule is deliberately sharper than plain leak tracking, encoding a
-shared-memory regression: calling ``shm.close()`` after a view of
-``shm.buf`` (``np.ndarray(buffer=shm.buf)``, or binding ``shm.buf``
-itself) has *escaped* unmaps the buffer under the view — the exported
-BufferError / use-after-unmap crash.  The fix is deferring the close
-until the views die (``weakref.finalize`` on the view), which this
-checker recognises as an escape, not a leak.
 
 Limitations, by design: attribute-held resources (``self._handle``)
 belong to the owning object's lifecycle, not a frame, and are out of
@@ -59,22 +50,18 @@ _CTORS = {
     "socket.socket": "socket",
     "socket.create_connection": "socket",
     "socket.create_server": "socket",
-    "multiprocessing.shared_memory.SharedMemory": "shm",
-    "multiprocessing.SharedMemory": "shm",
     "threading.Thread": "thread",
 }
 
 _RELEASES = {
     "file": ("close",),
     "socket": ("close",),
-    "shm": ("close",),
     "thread": ("join",),
 }
 
 _NOUN = {
     "file": "file handle",
     "socket": "socket",
-    "shm": "SharedMemory block",
     "thread": "thread",
 }
 
@@ -91,34 +78,22 @@ class _Res:
     #: threads: has start() run / daemon= literal
     started: bool = False
     daemon: bool | None = None
-    #: shm: a view over .buf escaped this frame
-    views_escape: bool = False
-    #: shm: unlink() already ran on every path
-    unlinked: bool = False
-    #: shm: close() ran while views were live but not yet escaped;
-    #: line of that close, reported if a view escapes afterwards
-    closed_under_views: int | None = None
 
     def clone(self) -> "_Res":
-        copy = _Res(self.kind, self.name, self.lineno,
+        return _Res(self.kind, self.name, self.lineno,
                     set(self.states), self.escaped, self.managed,
-                    self.started, self.daemon, self.views_escape,
-                    self.unlinked, self.closed_under_views)
-        return copy
+                    self.started, self.daemon)
 
 
 class _Env:
     def __init__(self) -> None:
         self.vars: dict[str, _Res] = {}
-        #: view variable -> shm variable it aliases
-        self.views: dict[str, str] = {}
         self.terminated = False
 
     def clone(self) -> "_Env":
         copy = _Env()
         copy.vars = {name: res.clone()
                      for name, res in self.vars.items()}
-        copy.views = dict(self.views)
         copy.terminated = self.terminated
         return copy
 
@@ -141,20 +116,14 @@ class _Env:
             joined.escaped = a.escaped or b.escaped
             joined.managed = a.managed and b.managed
             joined.started = a.started or b.started
-            joined.views_escape = a.views_escape or b.views_escape
-            joined.unlinked = a.unlinked and b.unlinked
-            joined.closed_under_views = (a.closed_under_views
-                                         or b.closed_under_views)
             merged.vars[name] = joined
-        merged.views = {**other.views, **self.views}
         return merged
 
 
 class ResourceLifetimeChecker(Checker):
     name = "resource-lifetime"
-    description = ("resources (files, sockets, SharedMemory, threads) "
-                   "released or escaped on every path; double-close; "
-                   "SHM closed under live views")
+    description = ("resources (files, sockets, threads) released or "
+                   "escaped on every path; double-close")
     interests = (ast.FunctionDef, ast.AsyncFunctionDef)
 
     def visit(self, ctx: FileContext, node: ast.AST) -> None:
@@ -355,16 +324,10 @@ class _FunctionWalker:
                 if kind == "thread":
                     res.daemon = self._daemon_kwarg(value)
                 env.vars[name] = res
-                env.views.pop(name, None)
-                return env
-            shm = self._view_source(value, env)
-            if shm is not None:
-                env.views[name] = shm
                 return env
             if isinstance(value, ast.Name) and value.id in env.vars:
                 # Aliasing: ownership now ambiguous - treat as escape.
                 env.vars[value.id].escaped = True
-                env.views.pop(name, None)
                 return env
             self._eval_expr(value, env)
             if name in env.vars:
@@ -372,7 +335,6 @@ class _FunctionWalker:
                 # unless it was already closed or escaped.
                 self._rebind_check(env, name)
                 del env.vars[name]
-            env.views.pop(name, None)
             return env
         # Attribute/subscript/tuple targets: stored values escape.
         self._escape_value(value, env)
@@ -408,15 +370,14 @@ class _FunctionWalker:
                 and func.value.id in env.vars):
             res = env.vars[func.value.id]
             method = func.attr
-            if self._handle_release(call, res, method, env):
+            if self._handle_release(call, res, method):
                 return
-        # Any tracked value passed as an argument escapes; a view
-        # passed along (weakref.finalize, callbacks) escapes too.
+        # Any tracked value passed as an argument escapes.
         for arg in list(call.args) + [kw.value for kw in call.keywords]:
             self._escape_value(arg, env)
 
     def _handle_release(self, call: ast.Call, res: _Res,
-                        method: str, env: _Env) -> bool:
+                        method: str) -> bool:
         if res.kind == "thread":
             if method == "start":
                 res.started = True
@@ -427,39 +388,13 @@ class _FunctionWalker:
                 res.states = {"closed"}
                 return True
             return False
-        if res.kind == "shm" and method == "unlink":
-            if res.unlinked and not res.escaped:
-                self._double(call, res, "unlink")
-            res.unlinked = True
-            return True
         if method in _RELEASES[res.kind]:
-            if (res.kind == "shm" and res.views_escape
-                    and not res.escaped):
-                self._report_close_under_views(res, call.lineno)
-            elif (res.kind == "shm" and not res.escaped
-                    and any(s == res.name for s in env.views.values())):
-                # Views are live but have not escaped *yet*; if one
-                # escapes later (e.g. returned after the close) the
-                # bug is the same, so remember where the close was.
-                res.closed_under_views = call.lineno
             if (res.states == {"closed"} and not res.escaped
                     and not res.managed):
                 self._double(call, res, method)
             res.states = {"closed"}
             return True
         return False
-
-    def _report_close_under_views(self, res: _Res,
-                                  lineno: int) -> None:
-        self.ctx.findings.append(_finding(
-            self.ctx, self.checker, lineno,
-            f"SharedMemory {res.name!r} closed while views "
-            f"over its buffer escape this function; the "
-            f"mapping is unmapped under the view "
-            f"(BufferError / use-after-unmap) - defer the "
-            f"close until the views die "
-            f"(weakref.finalize) or drop the views first",
-        ))
 
     def _double(self, call: ast.Call, res: _Res, method: str) -> None:
         self.ctx.findings.append(_finding(
@@ -479,9 +414,6 @@ class _FunctionWalker:
             res = env.vars.get(node.id)
             if res is not None:
                 res.escaped = True
-            shm = env.views.get(node.id)
-            if shm is not None and shm in env.vars:
-                self._mark_view_escape(env.vars[shm])
 
     def _escape_names(self, scope: ast.AST, env: _Env) -> None:
         for node in ast.walk(scope):
@@ -489,15 +421,6 @@ class _FunctionWalker:
                 res = env.vars.get(node.id)
                 if res is not None:
                     res.escaped = True
-                shm = env.views.get(node.id)
-                if shm is not None and shm in env.vars:
-                    self._mark_view_escape(env.vars[shm])
-
-    def _mark_view_escape(self, res: _Res) -> None:
-        res.views_escape = True
-        if res.closed_under_views is not None:
-            self._report_close_under_views(res, res.closed_under_views)
-            res.closed_under_views = None
 
     # ------------------------------------------------------------------
     # Helpers
@@ -519,30 +442,6 @@ class _FunctionWalker:
                                                 ast.Constant):
                 if isinstance(kw.value.value, bool):
                     return kw.value.value
-        return None
-
-    def _view_source(self, expr: ast.expr, env: _Env) -> str | None:
-        """``np.ndarray(buffer=shm.buf)`` / ``shm.buf`` → ``shm``."""
-        def buf_owner(node: ast.expr) -> str | None:
-            if (isinstance(node, ast.Attribute) and node.attr == "buf"
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in env.vars
-                    and env.vars[node.value.id].kind == "shm"):
-                return node.value.id
-            return None
-
-        direct = buf_owner(expr)
-        if direct is not None:
-            return direct
-        if isinstance(expr, ast.Call):
-            for arg in (list(expr.args)
-                        + [kw.value for kw in expr.keywords]):
-                for node in ast.walk(arg):
-                    owner = buf_owner(node)
-                    if owner is not None:
-                        return owner
-        if isinstance(expr, ast.Subscript):
-            return self._view_source(expr.value, env)
         return None
 
     # ------------------------------------------------------------------
