@@ -50,6 +50,7 @@ import numpy as np  # noqa: E402
 
 import repro  # noqa: E402
 from repro.binning.bin_array import BinArray  # noqa: E402
+from repro.binning.binner import Binner  # noqa: E402
 from repro.binning.categorical import CategoricalEncoding  # noqa: E402
 from repro.binning.strategies import equi_width_layout  # noqa: E402
 from repro.core.bitop import BitOpClusterer  # noqa: E402
@@ -60,6 +61,12 @@ from repro.core.verifier import Verifier  # noqa: E402
 from repro.core.rules import ClusteredRule, Interval  # noqa: E402
 from repro.core.segmentation import Segmentation  # noqa: E402
 from repro.data.functions import true_regions  # noqa: E402
+from repro.data.schema import (  # noqa: E402
+    CategoricalColumn,
+    Table,
+    categorical,
+    quantitative,
+)
 from repro.obs.timing import best_of  # noqa: E402
 from repro.perf import reference  # noqa: E402
 from repro.serve.scorer import compile_scorer  # noqa: E402
@@ -91,28 +98,35 @@ def _sizes(quick: bool) -> dict[str, int]:
 # after asserting both implementations agree.
 # ----------------------------------------------------------------------
 def bench_binner(n: int, trials: int) -> dict:
-    """Bin n tuples into a 50x50 grid: scalar loop vs vectorised kernel."""
+    """Bin an n-tuple table into a 50x50 grid: ``consume_scalar`` (per
+    value bisect, per value dict encode, per tuple scatter) vs
+    ``Binner.consume`` (table-driven assign, codes gather, bincount).
+
+    Both start from the same :class:`~repro.data.schema.Table`, with
+    float LHS columns and a categorical RHS stored as codes, so the
+    RHS encoding is inside the timed work.
+    """
     rng = np.random.default_rng(101)
-    x_values = rng.uniform(0.0, 100.0, n)
-    y_values = rng.uniform(0.0, 100.0, n)
-    codes = rng.integers(0, 2, n, dtype=np.int64)
-    x_layout = equi_width_layout("x", 0.0, 100.0, 50)
-    y_layout = equi_width_layout("y", 0.0, 100.0, 50)
-    encoding = CategoricalEncoding("group", ("A", "other"))
+    groups = ("A", "other")
+    table = Table.from_columns(
+        [quantitative("x", 0.0, 100.0), quantitative("y", 0.0, 100.0),
+         categorical("group", groups)],
+        {"x": rng.uniform(0.0, 100.0, n), "y": rng.uniform(0.0, 100.0, n),
+         "group": CategoricalColumn(rng.integers(0, 2, n), groups)},
+    )
+
+    def fitted() -> Binner:
+        return Binner.fit(table, "x", "y", "group", 50, 50)
 
     def scalar() -> BinArray:
-        cube = BinArray(x_layout, y_layout, encoding)
-        x_bins = reference.assign_bins_scalar(x_layout, x_values)
-        y_bins = reference.assign_bins_scalar(y_layout, y_values)
-        reference.add_chunk_scalar(cube, x_bins, y_bins, codes)
-        return cube
+        binner = fitted()
+        reference.consume_scalar(binner, table)
+        return binner.bin_array
 
     def vectorized() -> BinArray:
-        cube = BinArray(x_layout, y_layout, encoding)
-        cube.add_chunk(
-            x_layout.assign(x_values), y_layout.assign(y_values), codes
-        )
-        return cube
+        binner = fitted()
+        binner.consume(table)
+        return binner.bin_array
 
     slow, fast = scalar(), vectorized()
     assert np.array_equal(slow.counts, fast.counts), "binner kernels differ"

@@ -114,7 +114,7 @@ class Binner:
         x_bins = self.x_layout.assign(chunk.column(self.x_layout.attribute))
         y_bins = self.y_layout.assign(chunk.column(self.y_layout.attribute))
         rhs_codes = self.rhs_encoding.encode(
-            chunk.column(self.rhs_attribute)
+            chunk.categorical_column(self.rhs_attribute)
         )
         self.bin_array.add_chunk(x_bins, y_bins, rhs_codes)
         metrics.inc("binner.tuples_binned", len(chunk))

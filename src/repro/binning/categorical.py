@@ -4,6 +4,13 @@
 consecutive integers and use these integers in place of the categorical
 values."  The mapping happens before mining so the rule engine only ever
 sees integer codes; this module owns that bijection and its inverse.
+
+A :class:`~repro.data.schema.Table` already stores each categorical
+column as codes into its domain, so encoding a column is a domain-sized
+lookup table and one gather (:meth:`CategoricalEncoding.encode`), and
+the identity when the column's domain is the encoding's value order.
+The per-value loop it replaced is kept as
+:func:`repro.perf.reference.encode_scalar`, the oracle it is held to.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
+
+from repro.data.schema import CategoricalColumn
 
 
 @dataclass(frozen=True)
@@ -69,20 +78,17 @@ class CategoricalEncoding:
             object.__setattr__(self, "_index_cache", cached)
         return cached
 
-    def encode(self, values: Sequence[Hashable]) -> np.ndarray:
-        """Map a sequence of values to an integer code array."""
-        index = self._index()
-        try:
-            return np.fromiter(
-                (index[value] for value in values),
-                dtype=np.int64,
-                count=len(values),
-            )
-        except KeyError as error:
-            raise KeyError(
-                f"value {error.args[0]!r} not in the domain of "
-                f"{self.attribute!r}"
-            ) from None
+    def encode(self, values) -> np.ndarray:
+        """Map values to an ``int64`` code array.
+
+        ``values`` is a table's :class:`~repro.data.schema.CategoricalColumn`
+        (re-expressed through one domain-sized lookup) or a sequence of
+        raw values (factorized first).  An unknown value raises
+        :class:`KeyError` naming the first one in row order.
+        """
+        if not isinstance(values, CategoricalColumn):
+            values = CategoricalColumn.from_values(values)
+        return values.codes_in(self.values, self.attribute)
 
     def decode(self, codes: Sequence[int]) -> list:
         """Map integer codes back to values."""

@@ -76,6 +76,15 @@ class BinLayout:
         the least surprising behaviour there.  NaNs are rejected: a NaN
         would otherwise land silently in the last bin and corrupt its
         counts.
+
+        One path for every strategy: each value's bin is guessed by a
+        table lookup over ``8 * n_bins`` uniform cells of the range
+        (:meth:`_guess_table`), and a guess is kept only if it passes
+        the bracket check against the real edges.  The rest are
+        recomputed as ``searchsorted(edges, v, "right") - 1``, clipped.
+        Every index is thus checked or computed by the exact formula, so
+        the result equals
+        :func:`repro.perf.reference.assign_bins_scalar`.
         """
         values = np.asarray(values, dtype=np.float64)
         if np.isnan(values).any():
@@ -83,8 +92,56 @@ class BinLayout:
                 f"column {self.attribute!r} contains NaN; clean the "
                 "data before binning"
             )
-        indices = np.searchsorted(self.edges, values, side="right") - 1
-        return np.clip(indices, 0, self.n_bins - 1)
+        scale, guesses, lower, upper = self._guess_table()
+        if scale:
+            # Clamping to the range first keeps (v - low) * scale finite.
+            cells = np.maximum(values, self.low)
+            np.minimum(cells, self.high, out=cells)
+            cells -= self.low
+            cells *= scale
+            np.minimum(cells, len(guesses) - 1, out=cells)
+            indices = guesses[cells.astype(np.intp)]
+        else:
+            indices = np.zeros(len(values), dtype=np.intp)
+        rejected = ~((lower[indices] <= values) & (values < upper[indices]))
+        if rejected.any():
+            rows = np.flatnonzero(rejected)
+            exact = np.searchsorted(self.edges, values[rows], side="right")
+            indices[rows] = np.clip(exact - 1, 0, self.n_bins - 1)
+        return indices
+
+    def _guess_table(self) -> tuple:
+        """``(scale, guesses, lower, upper)``, built once per layout.
+
+        ``guesses[c]`` is the bin holding the left end of uniform cell
+        ``c``; value ``v`` falls in cell ``(v - low) * scale``.  A zero
+        scale means the range cannot be divided, and every guess is 0.
+        ``lower``/``upper`` are each bin's bracket, with bin 0 open
+        below and the last bin open above, matching the clamp.
+        """
+        cached = self.__dict__.get("_guess_cache")
+        if cached is None:
+            n_cells = 8 * self.n_bins
+            width = self.high - self.low
+            scale = n_cells / width
+            if np.isfinite(width) and np.isfinite(scale):
+                starts = self.low + np.arange(n_cells) * (width / n_cells)
+                guesses = np.clip(
+                    np.searchsorted(self.edges, starts, side="right") - 1,
+                    0, self.n_bins - 1,
+                )
+            else:
+                # A range too wide or too narrow to divide: every guess
+                # is bin 0 and the bracket check sends the rest to
+                # searchsorted.
+                scale, guesses = 0.0, None
+            lower = self.edges[:-1].copy()
+            lower[0] = -np.inf
+            upper = self.edges[1:].copy()
+            upper[-1] = np.inf
+            cached = (scale, guesses, lower, upper)
+            object.__setattr__(self, "_guess_cache", cached)
+        return cached
 
     def bin_interval(self, index: int) -> tuple[float, float]:
         """Return the ``(low, high)`` bounds of bin ``index``."""

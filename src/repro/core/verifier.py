@@ -35,25 +35,10 @@ import numpy as np
 
 from repro.core.segmentation import Segmentation
 from repro.data.sampling import mean_and_stderr, repeat_indices
-from repro.data.schema import Table
+from repro.data.schema import Table, equal_mask
 from repro.obs import metrics, trace
 
 logger = logging.getLogger(__name__)
-
-
-def target_mask(labels: np.ndarray, target_value) -> np.ndarray:
-    """Boolean mask of rows whose label equals the target value.
-
-    NumPy broadcasts ``==`` element-wise over object arrays, which is the
-    fast path; the scalar fallback covers values whose ``__eq__`` refuses
-    arrays or returns non-arrays.
-    """
-    comparison = labels == target_value
-    if isinstance(comparison, np.ndarray) and comparison.dtype == bool:
-        return comparison
-    return np.asarray(
-        [label == target_value for label in labels], dtype=bool
-    )
 
 
 @dataclass(frozen=True)
@@ -125,11 +110,11 @@ class Verifier:
         sample_size = min(self.sample_size, n)
         indices = repeat_indices(n, sample_size, self.seed,
                                  range(self.repeats))
-        # target_mask sees a 1-D array, so its scalar fallback iterates
-        # labels, not rows.
-        labels = self.table.column(self.rhs_attribute)[indices.ravel()]
-        sample_target = target_mask(
-            labels, self.target_value
+        # The label codes are gathered, not values: equal_mask compares
+        # the domain once and gathers the answer through the codes.
+        labels = self.table.categorical_column(self.rhs_attribute)
+        sample_target = equal_mask(
+            labels[indices.ravel()], self.target_value
         ).reshape(indices.shape)
         object.__setattr__(self, "sample_size", sample_size)
         object.__setattr__(self, "_indices", indices)
@@ -184,8 +169,9 @@ class Verifier:
         benchmarks where determinism matters more than speed."""
         with trace("verify.exact", tuples=len(self.table)) as span:
             covered = segmentation.covers_table(self.table)
-            is_target = target_mask(
-                self.table.column(self.rhs_attribute), self.target_value
+            is_target = equal_mask(
+                self.table.categorical_column(self.rhs_attribute),
+                self.target_value,
             )
             errors = np.count_nonzero(
                 covered & ~is_target

@@ -12,12 +12,13 @@ sampling used by the ARCS verifier (:mod:`repro.data.sampling`).
 from repro.data.functions import (
     FUNCTION_IDS,
     classification_function,
+    label_codes,
     label_table,
     true_regions,
 )
 from repro.data.perturbation import inject_outliers, perturb_quantitative
 from repro.data.sampling import repeated_k_of_n, sample_indices
-from repro.data.schema import AttributeSpec, Table
+from repro.data.schema import AttributeSpec, CategoricalColumn, Table
 from repro.data.synthetic import (
     DEMOGRAPHIC_ATTRIBUTES,
     SyntheticConfig,
@@ -26,12 +27,14 @@ from repro.data.synthetic import (
 
 __all__ = [
     "AttributeSpec",
+    "CategoricalColumn",
     "Table",
     "SyntheticConfig",
     "generate_synthetic",
     "DEMOGRAPHIC_ATTRIBUTES",
     "FUNCTION_IDS",
     "classification_function",
+    "label_codes",
     "label_table",
     "true_regions",
     "perturb_quantitative",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.schema import Table
+from repro.data.schema import CategoricalColumn, Table
 
 GROUP_A = "A"
 GROUP_OTHER = "other"
@@ -234,19 +234,26 @@ def classification_function(function_id: int):
         ) from None
 
 
+def label_codes(table: Table, function_id: int,
+                group_a: str = GROUP_A,
+                group_other: str = GROUP_OTHER) -> CategoricalColumn:
+    """Label every row of ``table`` as group codes: 0 for ``group_a``,
+    1 for ``group_other``, against the domain ``(group_a, group_other)``.
+    """
+    in_group_a = classification_function(function_id)(table)
+    codes = (~np.asarray(in_group_a, dtype=bool)).astype(np.uint8)
+    return CategoricalColumn(codes, (group_a, group_other))
+
+
 def label_table(table: Table, function_id: int,
                 group_a: str = GROUP_A,
                 group_other: str = GROUP_OTHER) -> np.ndarray:
     """Label every row of ``table`` with ``group_a`` or ``group_other``.
 
-    Returns an object array of group labels suitable for a categorical
-    column.
+    Returns an object array of group labels (the decoded
+    :func:`label_codes`).
     """
-    in_group_a = classification_function(function_id)(table)
-    labels = np.empty(len(table), dtype=object)
-    labels[in_group_a] = group_a
-    labels[~in_group_a] = group_other
-    return labels
+    return label_codes(table, function_id, group_a, group_other).decode()
 
 
 #: Exact Group-A regions for the functions whose region is a finite union of

@@ -6,6 +6,12 @@ the size of the database" because it keeps nothing but the BinArray and the
 bitmap.  :func:`stream_csv` is the matching ingestion path here: it yields
 fixed-size table chunks so the binner can consume arbitrarily large files
 without materialising them.
+
+CSV stores every value as text.  A categorical column is encoded once per
+chunk, as it is read: its distinct texts are factorized, and when the
+attribute declares a domain each text is matched to the domain value
+that writes as that text (``str(value)``), so a written table reads back
+with its own values (zipcode ``3``, not ``"3"``).
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import logging
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.data.schema import AttributeSpec, Table
+from repro.data.schema import AttributeSpec, CategoricalColumn, Table
 
 logger = logging.getLogger(__name__)
 
@@ -107,7 +113,23 @@ def stream_csv(path: str | Path, specs: Sequence[AttributeSpec],
 
 def _chunk_to_table(specs: Sequence[AttributeSpec],
                     rows: list[list]) -> Table:
-    columns = {
-        spec.name: [row[i] for row in rows] for i, spec in enumerate(specs)
-    }
+    columns = {}
+    for i, spec in enumerate(specs):
+        values = [row[i] for row in rows]
+        if spec.is_categorical:
+            values = _from_text(spec, CategoricalColumn.from_values(values))
+        columns[spec.name] = values
     return Table.from_columns(specs, columns)
+
+
+def _from_text(spec: AttributeSpec,
+               column: CategoricalColumn) -> CategoricalColumn:
+    """Replace each distinct text by the declared domain value written as
+    it; a text no domain value writes as stays, and is rejected as out
+    of the domain when the table is built."""
+    if spec.domain is None:
+        return column
+    by_text = {str(value): value for value in spec.domain}
+    return CategoricalColumn(
+        column.codes, tuple(by_text.get(text, text) for text in column.domain)
+    )

@@ -57,7 +57,14 @@ def inject_outliers(labels: np.ndarray, fraction: float,
     For the two-group case each selected label becomes the other group; for
     more groups a uniformly random *different* group is chosen.  Selected
     indices are drawn without replacement, so the outlier fraction is exact
-    up to rounding.
+    up to rounding.  ``labels`` may be values or integer codes (with
+    ``groups`` then given as codes).
+
+    All flips draw in one ``rng.integers`` call with a per-label bound.
+    That consumes the random stream exactly as one call per label did
+    (:func:`repro.perf.reference.inject_outliers_scalar`), so the output
+    is the same.  When every label is one of two groups, every bound is 1
+    and nothing is drawn.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError("outlier fraction must be in [0, 1)")
@@ -69,8 +76,16 @@ def inject_outliers(labels: np.ndarray, fraction: float,
     if n_outliers == 0:
         return flipped
     chosen = rng.choice(len(labels), size=n_outliers, replace=False)
-    for index in chosen:
-        current = flipped[index]
-        alternatives = [group for group in groups if group != current]
-        flipped[index] = alternatives[int(rng.integers(len(alternatives)))]
+    current = flipped[chosen]
+    # other[i, j]: group j is an alternative for chosen label i.
+    other = np.stack(
+        [np.asarray(current != group, dtype=bool) for group in groups],
+        axis=1,
+    )
+    draws = rng.integers(other.sum(axis=1))
+    picked = np.argmax(np.cumsum(other, axis=1) > draws[:, None], axis=1)
+    replacements = np.empty(len(groups), dtype=flipped.dtype)
+    for position, group in enumerate(groups):
+        replacements[position] = group
+    flipped[chosen] = replacements[picked]
     return flipped

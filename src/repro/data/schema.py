@@ -6,15 +6,24 @@ continuous or integer-valued, e.g. ``age``, ``salary``) or *categorical*
 (finite unordered domain, e.g. ``zipcode``, ``group``).  This module defines
 
 * :class:`AttributeSpec` — the declared name, kind and domain of a column,
+* :class:`CategoricalColumn` — a categorical column as integer codes into
+  its domain (paper Section 2.1 maps categorical values "to a set of
+  consecutive integers"),
 * :class:`Table` — an immutable-by-convention column-major table backed by
   NumPy arrays, with the handful of operations the rest of the system needs
   (column access, row subsetting, sampling, chunked streaming, CSV round
   trips via :mod:`repro.data.io`).
 
 A :class:`Table` deliberately stays small: it is a substrate, not a
-dataframe library.  Columns are NumPy arrays; quantitative columns are
-``float64`` and categorical columns are ``object`` arrays of hashable
-values.  All mutating-style operations return new tables.
+dataframe library.  Quantitative columns are ``float64`` arrays.  A
+categorical column is stored once, as a :class:`CategoricalColumn`: the
+narrowest unsigned integer codes that index its domain, which is the
+declared ``spec.domain`` or, when none is declared, the distinct values
+sorted by ``repr``.  Raw values are encoded once, when the table is
+built; :meth:`Table.column` decodes on demand, while the binner, the
+stream refitter and the verifier read the codes
+(:meth:`Table.categorical_column`).  All mutating-style operations
+return new tables.
 """
 
 from __future__ import annotations
@@ -110,14 +119,157 @@ def categorical(name: str, values: Sequence | None = None) -> AttributeSpec:
     return AttributeSpec(name, CATEGORICAL, domain)
 
 
-def _as_column(spec: AttributeSpec, values: Sequence) -> np.ndarray:
-    """Coerce raw values into the canonical array dtype for ``spec``."""
+def _code_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned integer dtype holding codes ``0..size-1``."""
+    return np.min_scalar_type(max(size - 1, 0))
+
+
+def _object_array(values: Sequence) -> np.ndarray:
+    """A 1-D object array of ``values`` (tuples stay single elements)."""
+    array = np.empty(len(values), dtype=object)
+    for position, value in enumerate(values):
+        array[position] = value
+    return array
+
+
+def _positions(values: Sequence, targets: Sequence) -> list[int]:
+    """The index in ``targets`` of each of ``values``, or -1 if absent.
+
+    Values are matched as a dict matches keys; values that cannot be
+    hashed fall back to ``list.index`` (identity, then ``==``).
+    """
+    try:
+        index = {value: code for code, value in enumerate(targets)}
+        return [index.get(value, -1) for value in values]
+    except TypeError:
+        targets = list(targets)
+        found = []
+        for value in values:
+            try:
+                found.append(targets.index(value))
+            except ValueError:
+                found.append(-1)
+        return found
+
+
+def equal_mask(labels, value) -> np.ndarray:
+    """Boolean mask of the rows whose label equals ``value``.
+
+    ``labels`` is a value array or a :class:`CategoricalColumn`; a
+    column's domain is compared once and the answer gathered through its
+    codes.  NumPy broadcasts ``==`` element-wise over object arrays,
+    which is the fast path; the scalar fallback covers values whose
+    ``__eq__`` refuses arrays or returns non-arrays.
+    """
+    if isinstance(labels, CategoricalColumn):
+        return equal_mask(_object_array(labels.domain), value)[labels.codes]
+    comparison = labels == value
+    if isinstance(comparison, np.ndarray) and comparison.dtype == bool:
+        return comparison
+    return np.asarray([label == value for label in labels], dtype=bool)
+
+
+@dataclass(frozen=True, eq=False)
+class CategoricalColumn:
+    """A categorical column: integer ``codes`` into a ``domain`` tuple.
+
+    Row ``i`` holds ``domain[codes[i]]``.  Indexing with a slice, an
+    index array or a boolean mask returns the selected rows against the
+    same domain, so row operations never touch the values.
+    """
+
+    codes: np.ndarray
+    domain: tuple
+
+    @classmethod
+    def from_values(cls, values: Sequence) -> "CategoricalColumn":
+        """Factorize raw values: the domain is the distinct values in
+        first-seen order.  One dict lookup per value; values that cannot
+        be hashed are matched by equality against the domain instead."""
+        index: dict = {}
+        try:
+            codes = np.fromiter(
+                (index.setdefault(value, len(index)) for value in values),
+                dtype=np.int64, count=len(values),
+            )
+            domain = tuple(index)
+        except TypeError:
+            distinct: list = []
+            codes = np.empty(len(values), dtype=np.int64)
+            for row, value in enumerate(values):
+                try:
+                    codes[row] = distinct.index(value)
+                except ValueError:
+                    codes[row] = len(distinct)
+                    distinct.append(value)
+            domain = tuple(distinct)
+        return cls(codes.astype(_code_dtype(len(domain))), domain)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> "CategoricalColumn":
+        return CategoricalColumn(self.codes[rows], self.domain)
+
+    def decode(self) -> np.ndarray:
+        """The column's values as an object array (one gather)."""
+        return _object_array(self.domain)[self.codes]
+
+    def codes_in(self, values: tuple, attribute: str,
+                 dtype=np.int64) -> np.ndarray:
+        """The rows' codes re-expressed against ``values``.
+
+        One domain-sized lookup table and one gather; the identity (a
+        cast) when the domain already equals ``values``.  A row whose
+        value is not in ``values`` raises :class:`KeyError` naming the
+        first such value in row order and ``attribute``.
+        """
+        if self.domain == tuple(values):
+            return self.codes.astype(dtype)
+        lookup = np.array(_positions(self.domain, values), dtype=np.int64)
+        missing = lookup < 0
+        if missing.any():
+            bad = missing[self.codes]
+            if bad.any():
+                value = self.domain[self.codes[int(np.argmax(bad))]]
+                raise KeyError(
+                    f"value {value!r} not in the domain of {attribute!r}"
+                )
+            lookup[missing] = 0
+        return lookup.astype(dtype)[self.codes]
+
+    def recoded(self, domain: tuple, attribute: str) -> "CategoricalColumn":
+        """This column against ``domain``, with the narrowest codes."""
+        return CategoricalColumn(
+            self.codes_in(domain, attribute, _code_dtype(len(domain))),
+            domain,
+        )
+
+
+def _as_column(spec: AttributeSpec, values):
+    """Coerce raw values into the canonical store for ``spec``.
+
+    Quantitative values become a ``float64`` array.  Categorical values
+    (or a :class:`CategoricalColumn`) become codes against the declared
+    domain, or against the observed values sorted by ``repr``.
+    """
     if spec.is_quantitative:
-        column = np.asarray(values, dtype=np.float64)
+        return np.asarray(values, dtype=np.float64)
+    if isinstance(values, CategoricalColumn):
+        codes = np.asarray(values.codes)
+        if codes.size and (codes.min() < 0
+                           or codes.max() >= len(values.domain)):
+            raise SchemaError(
+                f"codes of {spec.name!r} fall outside its "
+                f"{len(values.domain)}-value domain"
+            )
+        column = CategoricalColumn(codes, tuple(values.domain))
     else:
-        column = np.empty(len(values), dtype=object)
-        column[:] = list(values)
-    return column
+        column = CategoricalColumn.from_values(values)
+    domain = spec.domain
+    if domain is None:
+        domain = tuple(sorted(column.domain, key=repr))
+    return column.recoded(domain, spec.name)
 
 
 @dataclass
@@ -125,18 +277,20 @@ class Table:
     """A column-major table with a declared schema.
 
     Construct with :meth:`from_columns` or :meth:`from_rows`; the bare
-    constructor assumes already-coerced arrays of equal length.
+    constructor assumes already-coerced stores of equal length.
 
     Attributes
     ----------
     schema:
         Ordered mapping of attribute name to :class:`AttributeSpec`.
     columns:
-        Mapping of attribute name to a NumPy array of values.
+        Mapping of attribute name to its store: a ``float64`` array for
+        a quantitative attribute, a :class:`CategoricalColumn` for a
+        categorical one.
     """
 
     schema: dict[str, AttributeSpec]
-    columns: dict[str, np.ndarray]
+    columns: dict[str, np.ndarray | CategoricalColumn]
     _n_rows: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -157,8 +311,10 @@ class Table:
                      columns: Mapping[str, Sequence]) -> "Table":
         """Build a table from attribute specs and per-column value sequences.
 
-        Values are coerced to the canonical dtype for each attribute kind
-        (``float64`` for quantitative, ``object`` for categorical).
+        Quantitative values are coerced to ``float64``; categorical
+        values are encoded once (a :class:`CategoricalColumn` is taken
+        as codes).  A value outside a declared categorical domain raises
+        :class:`KeyError`.
         """
         schema = {spec.name: spec for spec in specs}
         if len(schema) != len(specs):
@@ -207,8 +363,22 @@ class Table:
             ) from None
 
     def column(self, name: str) -> np.ndarray:
-        """Return the backing array for ``name`` (do not mutate it)."""
+        """Return the values of ``name``.
+
+        A quantitative column is the backing array (do not mutate it); a
+        categorical column is decoded into a new object array, one
+        gather over its codes.
+        """
         self.spec(name)
+        column = self.columns[name]
+        if isinstance(column, CategoricalColumn):
+            return column.decode()
+        return column
+
+    def categorical_column(self, name: str) -> CategoricalColumn:
+        """Return the codes store of categorical attribute ``name``."""
+        if not self.spec(name).is_categorical:
+            raise SchemaError(f"attribute {name!r} is not categorical")
         return self.columns[name]
 
     def observed_range(self, name: str) -> tuple[float, float]:
@@ -233,16 +403,15 @@ class Table:
     def categorical_values(self, name: str) -> tuple:
         """Return the ordered distinct values of a categorical attribute.
 
-        Uses the declared domain when present, otherwise the sorted
-        distinct observed values.
+        Uses the declared domain when present, otherwise the distinct
+        observed values sorted by ``repr``: the stored domain's entries
+        that some row holds (a row subset keeps its parent's domain).
         """
-        spec = self.spec(name)
-        if not spec.is_categorical:
-            raise SchemaError(f"attribute {name!r} is not categorical")
-        if spec.domain is not None:
-            return spec.domain
-        observed = set(self.column(name).tolist())
-        return tuple(sorted(observed, key=repr))
+        column = self.categorical_column(name)
+        if self.schema[name].domain is not None:
+            return column.domain
+        present = np.bincount(column.codes, minlength=len(column.domain))
+        return tuple(column.domain[code] for code in np.flatnonzero(present))
 
     # ------------------------------------------------------------------
     # Row operations (each returns a new Table)
@@ -299,10 +468,24 @@ class Table:
         """Return the row-wise concatenation of two same-schema tables."""
         if list(self.schema) != list(other.schema):
             raise SchemaError("cannot concat tables with different schemas")
-        columns = {
-            name: np.concatenate([self.columns[name], other.columns[name]])
-            for name in self.schema
-        }
+        columns = {}
+        for name, spec in self.schema.items():
+            first, second = self.columns[name], other.columns[name]
+            if spec.is_quantitative:
+                columns[name] = np.concatenate([first, second])
+                continue
+            domain = first.domain
+            if second.domain != domain and spec.domain is None:
+                positions = _positions(second.domain, domain)
+                extra = tuple(value for value, position
+                              in zip(second.domain, positions)
+                              if position < 0)
+                domain = tuple(sorted(domain + extra, key=repr))
+            first = first.recoded(domain, name)
+            second = second.recoded(domain, name)
+            columns[name] = CategoricalColumn(
+                np.concatenate([first.codes, second.codes]), domain
+            )
         return Table(schema=dict(self.schema), columns=columns)
 
     # ------------------------------------------------------------------
@@ -327,6 +510,6 @@ class Table:
     def iter_rows(self) -> Iterator[dict]:
         """Yield rows as dicts (slow; for tests and small tables only)."""
         names = self.attribute_names
-        arrays = [self.columns[name] for name in names]
+        arrays = [self.column(name) for name in names]
         for i in range(self._n_rows):
             yield {name: array[i] for name, array in zip(names, arrays)}

@@ -18,13 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.functions import GROUP_A, GROUP_OTHER, label_table
+from repro.data.functions import GROUP_A, GROUP_OTHER, label_codes
 from repro.data.perturbation import inject_outliers, perturb_quantitative
-from repro.data.schema import AttributeSpec, Table, categorical, quantitative
+from repro.data.schema import (
+    AttributeSpec,
+    CategoricalColumn,
+    Table,
+    categorical,
+    quantitative,
+)
 
 #: Median house-price multiplier per zipcode, indexed by zipcode 0–8; the
 #: original generator makes house value depend on zipcode this way.
 _ZIPCODE_COUNT = 9
+ZIPCODE_DOMAIN = tuple(range(_ZIPCODE_COUNT))
 
 #: The demographic schema of Agrawal et al. (paper reference [2]).
 DEMOGRAPHIC_ATTRIBUTES: tuple[AttributeSpec, ...] = (
@@ -33,7 +40,7 @@ DEMOGRAPHIC_ATTRIBUTES: tuple[AttributeSpec, ...] = (
     quantitative("age", 20, 80),
     quantitative("elevel", 0, 4),
     quantitative("car", 1, 20),
-    categorical("zipcode", tuple(range(_ZIPCODE_COUNT))),
+    categorical("zipcode", ZIPCODE_DOMAIN),
     quantitative("hvalue", 0, 13_500_000),
     quantitative("hyears", 1, 30),
     quantitative("loan", 0, 500_000),
@@ -85,8 +92,12 @@ class SyntheticConfig:
             raise ValueError("outlier_fraction must be in [0, 1)")
 
 
-def _base_attributes(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Draw the nine demographic attributes per the original generator."""
+def _base_attributes(n: int, rng: np.random.Generator) -> dict:
+    """Draw the nine demographic attributes per the original generator.
+
+    The zipcode domain is ``range(9)``, so the drawn integers are the
+    zipcode column's codes as they stand.
+    """
     salary = rng.uniform(20_000, 150_000, size=n)
     # Commission is zero for high earners, otherwise uniform 10k–75k.
     commission = np.where(
@@ -108,7 +119,7 @@ def _base_attributes(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         "age": age,
         "elevel": elevel,
         "car": car,
-        "zipcode": [int(z) for z in zipcode],
+        "zipcode": CategoricalColumn(zipcode, ZIPCODE_DOMAIN),
         "hvalue": hvalue,
         "hyears": hyears,
         "loan": loan,
@@ -128,7 +139,7 @@ def generate_synthetic(config: SyntheticConfig) -> Table:
     columns = _base_attributes(config.n_tuples, rng)
     table = Table.from_columns(DEMOGRAPHIC_ATTRIBUTES, columns)
 
-    labels = label_table(table, config.function_id)
+    labels = label_codes(table, config.function_id)
 
     if config.perturbation > 0.0:
         table = perturb_quantitative(
@@ -136,9 +147,11 @@ def generate_synthetic(config: SyntheticConfig) -> Table:
         )
 
     if config.outlier_fraction > 0.0:
-        labels = inject_outliers(
-            labels, config.outlier_fraction, rng,
-            groups=(GROUP_A, GROUP_OTHER),
+        # Codes 0 and 1 stand for GROUP_A and GROUP_OTHER.
+        labels = CategoricalColumn(
+            inject_outliers(labels.codes, config.outlier_fraction, rng,
+                            groups=(0, 1)),
+            labels.domain,
         )
 
     return table.with_column(GROUP_ATTRIBUTE, labels)

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.binning.strategies import equi_depth_layout
-from repro.data.schema import Table
+from repro.data.schema import Table, equal_mask
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,9 @@ class QuantitativeMiner:
     # Counting structures
     # ------------------------------------------------------------------
     def _target_mask(self, target_value) -> np.ndarray:
-        labels = self.table.column(self.rhs_attribute)
-        return np.asarray(labels == target_value)
+        return equal_mask(
+            self.table.categorical_column(self.rhs_attribute), target_value
+        )
 
     def _prefix_1d(self, attribute: str,
                    target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

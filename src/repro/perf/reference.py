@@ -27,19 +27,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.binning.bin_array import BinArray
+from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import BinLayout
 from repro.core.bitop import _clear_rows, largest_rectangle
 from repro.core.grid import RuleGrid
 from repro.core.merging import _trim_to_content, hull_cover_fraction
 from repro.core.rules import GridRect
 from repro.core.segmentation import Segmentation
-from repro.core.verifier import (
-    VerificationReport,
-    Verifier,
-    target_mask,
-)
+from repro.core.verifier import VerificationReport, Verifier
 from repro.data.sampling import mean_and_stderr, repeat_indices
-from repro.data.schema import Table
+from repro.data.schema import Table, equal_mask
 from repro.mining.engine import qualifying_cells
 
 
@@ -67,6 +64,47 @@ def assign_bins_scalar(layout: BinLayout, values: np.ndarray) -> np.ndarray:
             index = n_bins - 1
         out[position] = index
     return out
+
+
+def encode_scalar(encoding: CategoricalEncoding,
+                  values: Sequence) -> np.ndarray:
+    """Per-value categorical encoding: one dict lookup per value.
+
+    The loop :meth:`repro.binning.categorical.CategoricalEncoding.encode`
+    replaced; an unknown value raises :class:`KeyError` naming it and the
+    attribute.
+    """
+    index = {value: code for code, value in enumerate(encoding.values)}
+    try:
+        return np.fromiter(
+            (index[value] for value in values),
+            dtype=np.int64,
+            count=len(values),
+        )
+    except KeyError as error:
+        raise KeyError(
+            f"value {error.args[0]!r} not in the domain of "
+            f"{encoding.attribute!r}"
+        ) from None
+
+
+def inject_outliers_scalar(labels: np.ndarray, fraction: float,
+                           rng: np.random.Generator,
+                           groups: Sequence = ("A", "other")) -> np.ndarray:
+    """Per-label outlier flips: one ``rng.integers`` call per flipped
+    label (the loop :func:`repro.data.perturbation.inject_outliers`
+    replaced, and the random stream it must reproduce)."""
+    groups = list(groups)
+    flipped = labels.copy()
+    n_outliers = int(round(fraction * len(labels)))
+    if n_outliers == 0:
+        return flipped
+    chosen = rng.choice(len(labels), size=n_outliers, replace=False)
+    for index in chosen:
+        current = flipped[index]
+        alternatives = [group for group in groups if group != current]
+        flipped[index] = alternatives[int(rng.integers(len(alternatives)))]
+    return flipped
 
 
 def add_chunk_scalar(bin_array: BinArray, x_bins: np.ndarray,
@@ -128,14 +166,17 @@ def remove_chunk_scalar(bin_array: BinArray, x_bins: np.ndarray,
 
 
 def consume_scalar(binner, chunk: Table) -> None:
-    """One Binner chunk through the scalar assignment + scatter path."""
+    """One Binner chunk through the scalar assignment, encoding and
+    scatter path, starting from the chunk's decoded values."""
     x_bins = assign_bins_scalar(
         binner.x_layout, chunk.column(binner.x_layout.attribute)
     )
     y_bins = assign_bins_scalar(
         binner.y_layout, chunk.column(binner.y_layout.attribute)
     )
-    rhs_codes = binner.rhs_encoding.encode(chunk.column(binner.rhs_attribute))
+    rhs_codes = encode_scalar(
+        binner.rhs_encoding, chunk.column(binner.rhs_attribute)
+    )
     add_chunk_scalar(binner.bin_array, x_bins, y_bins, rhs_codes)
 
 
@@ -199,7 +240,7 @@ def verify_scalar(verifier: Verifier,
     """
     table = verifier.table
     covered = segmentation.covers_table(table)
-    is_target = target_mask(
+    is_target = equal_mask(
         table.column(verifier.rhs_attribute), verifier.target_value
     )
     fp_counts, fn_counts = count_repeat_errors(

@@ -208,7 +208,7 @@ class StreamRefitter:
             chunk.column(self.y_layout.attribute)
         )
         rhs_codes = self.rhs_encoding.encode(
-            chunk.column(self.rhs_encoding.attribute)
+            chunk.categorical_column(self.rhs_encoding.attribute)
         )
         delta = self.window.ingest(x_bins, y_bins, rhs_codes)
         metrics.inc("stream.tuples_ingested", delta.ingested)

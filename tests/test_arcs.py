@@ -7,6 +7,7 @@ import repro
 from repro.core.arcs import ARCS, ARCSConfig
 from repro.core.optimizer import OptimizerConfig
 from repro.data.functions import true_regions
+from repro.data.schema import CategoricalColumn
 
 FAST_OPTIMIZER = OptimizerConfig(max_support_levels=6,
                                  max_confidence_levels=4)
@@ -155,3 +156,28 @@ class TestOutlierRobustness:
         )
         # 10% flipped labels are irreducible; structure adds a bit more.
         assert 0.10 <= result.best_trial.report.error_rate < 0.25
+
+
+class TestCodesStore:
+    def test_fit_never_decodes_a_categorical_column(self, monkeypatch):
+        """The binner, verifier and optimizer read the RHS codes: a fit
+        never gathers a full column of categorical values."""
+        table = repro.generate_synthetic(repro.SyntheticConfig(
+            n_tuples=5_000, outlier_fraction=0.1, seed=8
+        ))
+        decodes = []
+        original = CategoricalColumn.decode
+
+        def counting_decode(column):
+            decodes.append(len(column))
+            return original(column)
+
+        monkeypatch.setattr(CategoricalColumn, "decode", counting_decode)
+        result = ARCS(ARCSConfig(n_bins_x=20, n_bins_y=20,
+                                 optimizer=FAST_OPTIMIZER)).fit(
+            table, "age", "salary", "group", "A"
+        )
+        assert len(result.segmentation) > 0
+        assert decodes == []
+        table.column("group")
+        assert decodes == [len(table)]

@@ -1,7 +1,9 @@
 """Unit tests for CSV round trips and streaming ingestion."""
 
+import numpy as np
 import pytest
 
+import repro
 from repro.data.io import read_csv, stream_csv, write_csv
 from repro.data.schema import Table, categorical, quantitative
 
@@ -100,3 +102,58 @@ class TestStreaming:
         path.write_text("age,salary,group\ntwenty,50000,A\n")
         with pytest.raises(ValueError, match="not a number"):
             list(stream_csv(path, SPECS))
+
+
+class TestCategoricalSources:
+    """CSV and JSONL sources encode categorical columns once, at load,
+    and keep the decoded values."""
+
+    def test_synthetic_csv_round_trip_keeps_every_value(self, tmp_path):
+        from repro.data.synthetic import (
+            DEMOGRAPHIC_ATTRIBUTES,
+            GROUP_ATTRIBUTE,
+        )
+
+        table = repro.generate_synthetic(repro.SyntheticConfig(
+            n_tuples=300, outlier_fraction=0.1, seed=4
+        ))
+        path = tmp_path / "synthetic.csv"
+        write_csv(table, path)
+        specs = list(DEMOGRAPHIC_ATTRIBUTES) + [GROUP_ATTRIBUTE]
+        loaded = read_csv(path, specs)
+        for name in ("zipcode", "group"):
+            assert loaded.column(name).tolist() == table.column(name).tolist()
+            assert np.array_equal(loaded.categorical_column(name).codes,
+                                  table.categorical_column(name).codes)
+        assert all(type(z) is int for z in loaded.column("zipcode"))
+
+    def test_text_outside_declared_domain_raises(self, tmp_path):
+        path = tmp_path / "stray.csv"
+        path.write_text("age,salary,group\n25,50000,A\n30,60000,B\n")
+        with pytest.raises(KeyError, match="'B' not in the domain"):
+            read_csv(path, SPECS)
+
+    def test_chunks_with_different_inferred_domains(self, tmp_path):
+        specs = [quantitative("x"), categorical("label")]
+        path = tmp_path / "labels.csv"
+        path.write_text("x,label\n1,b\n2,b\n3,a\n4,c\n")
+        chunks = list(stream_csv(path, specs, chunk_rows=2))
+        assert chunks[0].categorical_column("label").domain == ("b",)
+        whole = read_csv(path, specs)
+        assert whole.column("label").tolist() == ["b", "b", "a", "c"]
+        assert whole.categorical_values("label") == ("a", "b", "c")
+
+    def test_jsonl_source_keeps_values(self, tmp_path):
+        import json
+
+        from repro.stream import JSONLTailSource, ManualClock
+
+        path = tmp_path / "events.jsonl"
+        records = [{"age": 20 + i, "salary": 50_000.0,
+                    "group": "other" if i % 3 else "A"} for i in range(7)]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        source = JSONLTailSource(path, SPECS, chunk_rows=3, idle_polls=1,
+                                 clock=ManualClock())
+        labels = [label for chunk in source.chunks()
+                  for label in chunk.column("group").tolist()]
+        assert labels == [record["group"] for record in records]

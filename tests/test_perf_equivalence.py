@@ -15,14 +15,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro.binning import bin_table
 from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
-from repro.binning.strategies import equi_width_layout
+from repro.binning.strategies import (
+    BinLayout,
+    equi_depth_layout,
+    equi_width_layout,
+)
 from repro.core import clusterer
 from repro.core.arcs import ARCS, ARCSConfig
 from repro.core.bitop import BitOpClusterer
@@ -37,6 +41,7 @@ from repro.core.smoothing import (
     window_sums,
 )
 from repro.core.verifier import Verifier
+from repro.data.perturbation import inject_outliers
 from repro.data.schema import Table, categorical, quantitative
 from repro.mining.engine import rule_pairs
 from repro.perf import reference
@@ -182,6 +187,182 @@ class TestBinnerEquivalence:
         )
 
 
+@st.composite
+def adversarial_layouts(draw):
+    """Layouts whose edges defeat a uniform-cell guess: equi-width over
+    magnitudes 1e-3 to 1e7, equi-depth over Cauchy and heavily tied
+    data, and uneven cubed-exponential edges."""
+    family = draw(st.sampled_from(("width", "cauchy", "ties", "cubed")))
+    n_bins = draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.floats(-1e7, 1e7))
+    if family == "width":
+        width = 10.0 ** draw(st.floats(-3, 7))
+        return equi_width_layout("v", low, low + width, n_bins)
+    if family == "cauchy":
+        return equi_depth_layout("v", rng.standard_cauchy(400), n_bins)
+    if family == "ties":
+        tied = rng.integers(0, 6, 300).astype(np.float64)
+        return equi_depth_layout("v", tied, n_bins)
+    steps = 1e-3 + rng.exponential(size=n_bins + 1) ** 3
+    edges = np.unique(low + np.cumsum(steps))
+    assume(len(edges) >= 2)
+    return BinLayout("v", edges)
+
+
+def probe_values(layout, rng, extra=()):
+    """Every edge, its two float neighbours, the infinities, both zeros
+    and draws over twice the layout's range."""
+    edges = layout.edges
+    span = edges[-1] - edges[0]
+    return np.concatenate([
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        [np.inf, -np.inf, 0.0, -0.0],
+        edges[0] + span * rng.uniform(-0.5, 1.5, 200),
+        np.asarray(extra, dtype=np.float64),
+    ])
+
+
+class TestAssignEquivalence:
+    """The table-driven ``BinLayout.assign`` equals the per-value
+    ``bisect`` reference exactly, on layouts built to defeat its
+    guess."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_layouts(), st.integers(0, 2**32 - 1),
+           st.lists(st.floats(allow_nan=False), max_size=20))
+    def test_adversarial_layouts(self, layout, seed, extra):
+        values = probe_values(layout, np.random.default_rng(seed), extra)
+        assert np.array_equal(
+            layout.assign(values),
+            reference.assign_bins_scalar(layout, values),
+        )
+
+    @pytest.mark.parametrize("edges", [
+        [0.0, 5e-324],
+        [0.0, 1e-320, 2e-320],
+        [-1.7e308, 0.0, 1.7e308],
+        [1.0, np.nextafter(1.0, 2.0)],
+    ])
+    def test_ranges_too_narrow_or_wide_to_divide(self, edges):
+        layout = BinLayout("v", np.array(edges))
+        values = np.concatenate([
+            layout.edges, [np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308],
+        ])
+        assert np.array_equal(
+            layout.assign(values),
+            reference.assign_bins_scalar(layout, values),
+        )
+
+    @given(adversarial_layouts())
+    @settings(max_examples=30, deadline=None)
+    def test_nan_still_raises(self, layout):
+        values = np.array([layout.low, np.nan])
+        with pytest.raises(ValueError, match="contains NaN"):
+            layout.assign(values)
+        with pytest.raises(ValueError, match="contains NaN"):
+            reference.assign_bins_scalar(layout, values)
+
+    def test_empty_values(self):
+        layout = equi_width_layout("v", 0.0, 1.0, 4)
+        assert layout.assign(np.array([])).shape == (0,)
+
+
+class TestEncodeEquivalence:
+    """``CategoricalEncoding.encode`` (a lookup gather over codes) equals
+    the per-value dict loop ``encode_scalar``."""
+
+    LABELS = ("A", "B", "other", 7, 2.5, ("t", 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(LABELS), max_size=60),
+           st.permutations(LABELS))
+    def test_raw_values_and_table_columns(self, values, order):
+        encoding = CategoricalEncoding("g", tuple(order))
+        expected = reference.encode_scalar(encoding, values)
+        assert np.array_equal(encoding.encode(values), expected)
+        table = Table.from_columns([categorical("g")], {"g": values})
+        coded = encoding.encode(table.categorical_column("g"))
+        assert coded.dtype == np.int64
+        assert np.array_equal(coded, expected)
+
+    def test_identity_when_domains_match(self):
+        encoding = CategoricalEncoding("group", ("A", "other"))
+        table = Table.from_columns(
+            [categorical("group", ("A", "other"))],
+            {"group": ["other", "A", "A"]},
+        )
+        assert encoding.encode(table.categorical_column("group")).tolist() \
+            == [1, 0, 0]
+
+    @pytest.mark.parametrize("as_column", [False, True])
+    def test_unknown_value_error_text(self, as_column):
+        encoding = CategoricalEncoding("group", ("A", "other"))
+        values = ["A", "other", "zzz", "yyy"]
+        with pytest.raises(KeyError) as scalar:
+            reference.encode_scalar(encoding, values)
+        if as_column:
+            values = Table.from_columns(
+                [categorical("group")], {"group": values}
+            ).categorical_column("group")
+        with pytest.raises(KeyError) as fast:
+            encoding.encode(values)
+        assert str(fast.value) == str(scalar.value)
+        assert "'zzz'" in str(fast.value) and "'group'" in str(fast.value)
+
+    def test_unused_domain_value_is_not_an_error(self):
+        """A row subset keeps its parent's domain; only values some row
+        holds have to be in the encoding."""
+        table = Table.from_columns(
+            [categorical("g")], {"g": ["a", "b", "zzz"]}
+        ).head(2)
+        encoding = CategoricalEncoding("g", ("b", "a"))
+        assert encoding.encode(table.categorical_column("g")).tolist() \
+            == [1, 0]
+
+
+class TestInjectOutliersEquivalence:
+    """The vectorised flip consumes the random stream exactly as the
+    per-label loop did, so outputs (and later draws) are identical."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 400), st.floats(0.0, 0.95),
+           st.integers(0, 2**32 - 1),
+           st.sampled_from([("A", "other"), ("a", "b", "c"),
+                            ("p", "q", "r", "s", "t")]))
+    def test_same_labels_and_stream(self, n, fraction, seed, groups):
+        labels_rng = np.random.default_rng(seed ^ 0x5EED)
+        pool = np.empty(len(groups) + 1, dtype=object)
+        pool[:] = list(groups) + ["stray"]
+        labels = pool[labels_rng.integers(0, len(pool), n)]
+        fast_rng = np.random.default_rng(seed)
+        slow_rng = np.random.default_rng(seed)
+        fast = inject_outliers(labels, fraction, fast_rng, groups=groups)
+        slow = reference.inject_outliers_scalar(
+            labels, fraction, slow_rng, groups=groups
+        )
+        assert fast.tolist() == slow.tolist()
+        assert fast_rng.random() == slow_rng.random()
+
+    def test_two_group_codes_match_value_labels(self):
+        codes = np.random.default_rng(1).integers(0, 2, 5_000).astype(
+            np.uint8
+        )
+        values = np.array(["A", "other"], dtype=object)[codes]
+        flipped_codes = inject_outliers(
+            codes, 0.1, np.random.default_rng(2), groups=(0, 1)
+        )
+        flipped_values = reference.inject_outliers_scalar(
+            values, 0.1, np.random.default_rng(2)
+        )
+        assert flipped_codes.dtype == np.uint8
+        assert np.array(["A", "other"], dtype=object)[
+            flipped_codes
+        ].tolist() == flipped_values.tolist()
+
+
 class TestVerifierEquivalence:
     def test_counts_identical(self):
         rng = np.random.default_rng(4)
@@ -274,7 +455,7 @@ def segmentations(draw, x_attribute="age", y_attribute="salary",
 
 class _Label:
     """A label whose ``__eq__`` answers arrays with one bool, so
-    ``target_mask`` has to take its scalar fallback."""
+    ``equal_mask`` has to take its scalar fallback."""
 
     __array_ufunc__ = None
 

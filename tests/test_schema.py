@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.schema import (
     AttributeSpec,
+    CategoricalColumn,
     SchemaError,
     Table,
     categorical,
@@ -218,3 +219,123 @@ class TestStreaming:
         assert len(rows) == len(tiny_table)
         assert rows[0]["group"] == "A"
         assert rows[0]["age"] == 25.0
+
+
+class TestCategoricalCodesStore:
+    """A categorical column is stored once, as codes into its domain;
+    every row operation and source keeps the decoded values."""
+
+    SPECS = [quantitative("x"), categorical("g")]
+    VALUES = ["b", "a", "c", "a", "b", "b"]
+
+    def table(self, values=VALUES):
+        return Table.from_columns(
+            self.SPECS, {"x": list(range(len(values))), "g": values}
+        )
+
+    def test_stores_narrow_codes_into_sorted_domain(self):
+        column = self.table().categorical_column("g")
+        assert column.domain == ("a", "b", "c")
+        assert column.codes.dtype == np.uint8
+        assert column.codes.tolist() == [1, 0, 2, 0, 1, 1]
+
+    def test_declared_domain_sets_the_codes(self, tiny_table):
+        column = tiny_table.categorical_column("group")
+        assert column.domain == ("A", "other")
+        assert tiny_table.column("group").tolist() == [
+            "A", "A", "other", "A", "other", "A"
+        ]
+
+    def test_value_outside_declared_domain_raises(self):
+        with pytest.raises(KeyError, match="not in the domain of 'g'"):
+            Table.from_columns([categorical("g", ("a", "b"))],
+                               {"g": ["a", "zzz"]})
+
+    def test_codes_outside_domain_rejected(self):
+        with pytest.raises(SchemaError, match="outside"):
+            Table.from_columns([categorical("g", ("a", "b"))], {
+                "g": CategoricalColumn(np.array([0, 2]), ("a", "b"))
+            })
+
+    def test_codes_against_another_domain_are_recoded(self):
+        table = Table.from_columns([categorical("g", ("a", "b"))], {
+            "g": CategoricalColumn(np.array([0, 1, 1]), ("b", "a"))
+        })
+        assert table.column("g").tolist() == ["b", "a", "a"]
+        assert table.categorical_column("g").codes.tolist() == [1, 0, 0]
+
+    def test_quantitative_attribute_has_no_codes(self):
+        with pytest.raises(SchemaError):
+            self.table().categorical_column("x")
+
+    def test_row_operations_keep_values(self, fresh_rng):
+        table = self.table()
+        values = np.array(self.VALUES, dtype=object)
+        rows = np.array([5, 0, 0, 3])
+        mask = np.array([True, False, True, False, True, False])
+        cases = [
+            (table.take(rows), values[rows]),
+            (table.where(mask), values[mask]),
+            (table.head(4), values[:4]),
+            (table.select(["g"]), values),
+        ]
+        sample_rng = np.random.default_rng(3)
+        picked = np.random.default_rng(3).choice(6, size=4, replace=False)
+        cases.append((table.sample(4, sample_rng), values[picked]))
+        for chunk, start in zip(table.iter_chunks(4), (0, 4)):
+            cases.append((chunk, values[start:start + 4]))
+        for result, expected in cases:
+            assert result.column("g").tolist() == expected.tolist()
+            assert result.categorical_column("g").domain == ("a", "b", "c")
+
+    def test_row_subset_reports_only_observed_values(self):
+        subset = self.table().where(np.array(
+            [True, True, False, True, True, True]
+        ))
+        assert subset.categorical_values("g") == ("a", "b")
+
+    def test_with_column_takes_values_or_codes(self):
+        table = self.table()
+        relabelled = table.with_column(
+            categorical("g"), ["z", "y", "z", "y", "z", "y"]
+        )
+        assert relabelled.categorical_values("g") == ("y", "z")
+        moved = table.with_column(
+            categorical("h"), table.categorical_column("g")
+        )
+        assert moved.column("h").tolist() == self.VALUES
+
+    def test_concat_merges_inferred_domains(self):
+        first = self.table(["b", "a", "b"])
+        second = self.table(["d", "b", "c"])
+        combined = first.concat(second)
+        assert combined.categorical_column("g").domain == (
+            "a", "b", "c", "d"
+        )
+        assert combined.column("g").tolist() == [
+            "b", "a", "b", "d", "b", "c"
+        ]
+        assert combined.categorical_values("g") == ("a", "b", "c", "d")
+
+    def test_unhashable_values_are_matched_by_equality(self):
+        class Label:
+            def __init__(self, key):
+                self.key = key
+
+            def __eq__(self, other):
+                return isinstance(other, Label) and self.key == other.key
+
+            __hash__ = None
+
+        labels = [Label("p"), Label("q"), Label("p")]
+        table = Table.from_columns([categorical("g")], {"g": labels})
+        assert len(table.categorical_column("g").domain) == 2
+        assert [label.key for label in table.column("g")] == ["p", "q", "p"]
+        doubled = table.concat(table)
+        assert [label.key for label in doubled.column("g")] == [
+            "p", "q", "p", "p", "q", "p"
+        ]
+
+    def test_iter_rows_decodes(self):
+        rows = list(self.table().iter_rows())
+        assert [row["g"] for row in rows] == self.VALUES
