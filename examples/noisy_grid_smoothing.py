@@ -11,11 +11,10 @@ Run:  python examples/noisy_grid_smoothing.py
 import repro
 from repro.binning import bin_table
 from repro.core.bitop import BitOpClusterer
-from repro.core.grid import RuleGrid
 from repro.core.merging import merge_clusters
 from repro.core.pruning import prune_clusters
 from repro.core.smoothing import smooth_binary
-from repro.mining.engine import rule_pairs
+from repro.mining.engine import rule_grid
 from repro.viz.ascii import render_grid, render_side_by_side
 
 N_BINS = 30
@@ -32,9 +31,8 @@ def main() -> None:
                        n_bins_x=N_BINS, n_bins_y=N_BINS)
     code = binner.rhs_encoding.code_of("A")
 
-    pairs = rule_pairs(binner.bin_array, code,
-                       min_support=0.0004, min_confidence=0.5)
-    raw = RuleGrid.from_pairs(pairs, N_BINS, N_BINS)
+    raw = rule_grid(binner.bin_array, code,
+                    min_support=0.0004, min_confidence=0.5)
     smoothed = smooth_binary(raw)
 
     print("the mined grid, before and after the low-pass filter:\n")

@@ -3,7 +3,8 @@
 This is the middle of paper Figure 2: given a populated BinArray and one
 threshold pair, produce the clustered association rules.  The steps are
 
-1. the specialised engine emits qualifying cells (Section 3.2),
+1. the specialised engine emits the grid of qualifying cells
+   (Section 3.2),
 2. the grid is low-pass smoothed (Section 3.4) — binary by default, or
    over support values when ``support_weighted`` is on (Section 5),
 3. BitOp greedily covers the grid with rectangles (Section 3.3),
@@ -33,7 +34,7 @@ from repro.core.merging import merge_clusters
 from repro.core.pruning import PruningReport, prune_clusters
 from repro.core.rules import ClusteredRule, GridRect, Interval
 from repro.core.smoothing import smooth_binary, smooth_support
-from repro.mining.engine import rule_pairs
+from repro.mining.engine import rule_grid
 from repro.obs import trace
 
 logger = logging.getLogger(__name__)
@@ -124,11 +125,8 @@ class GridClusterer:
         """Produce clustered rules at the given thresholds."""
         with trace("cluster", min_support=min_support,
                    min_confidence=min_confidence):
-            pairs = rule_pairs(
+            raw_grid = rule_grid(
                 bin_array, rhs_code, min_support, min_confidence
-            )
-            raw_grid = RuleGrid.from_pairs(
-                pairs, bin_array.n_x, bin_array.n_y
             )
             smoothed = self._smooth(
                 raw_grid, bin_array, rhs_code, min_support
@@ -156,9 +154,9 @@ class GridClusterer:
                 for rect in pruning.kept
             )
             logger.debug(
-                "clustered %d qualifying cells into %d rules "
+                "clustered the rule grid into %d rules "
                 "(support>=%g confidence>=%g)",
-                len(pairs), len(rules), min_support, min_confidence,
+                len(rules), min_support, min_confidence,
             )
         return ClusteringOutcome(
             raw_grid=raw_grid,
