@@ -102,6 +102,10 @@ def frequent_itemsets(counter: ItemsetCounter, min_support: float,
                       max_size: int | None = None) -> dict[frozenset, float]:
     """All itemsets with support >= ``min_support``, mapped to support.
 
+    Support is compared as ``count / n``, as the rule engine compares it,
+    so a threshold of exactly ``c / n`` admits the itemsets of count
+    ``c`` (``count >= n * min_support`` can miss them to float rounding).
+
     ``max_size`` caps the levelwise search (the ARCS cross-check only needs
     size-3 itemsets: two LHS items plus the RHS item).
     """
@@ -110,7 +114,6 @@ def frequent_itemsets(counter: ItemsetCounter, min_support: float,
     n = counter.n_transactions
     if n == 0:
         return {}
-    min_count = min_support * n
 
     # Level 1: singleton items.
     item_counts: dict[Hashable, int] = defaultdict(int)
@@ -120,7 +123,7 @@ def frequent_itemsets(counter: ItemsetCounter, min_support: float,
     current = {
         frozenset([item]): count
         for item, count in item_counts.items()
-        if count >= min_count
+        if count / n >= min_support
     }
     result: dict[frozenset, float] = {
         itemset: count / n for itemset, count in current.items()
@@ -135,7 +138,7 @@ def frequent_itemsets(counter: ItemsetCounter, min_support: float,
         current = {
             itemset: count
             for itemset, count in counts.items()
-            if count >= min_count
+            if count / n >= min_support
         }
         for itemset, count in current.items():
             result[itemset] = count / n

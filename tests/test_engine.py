@@ -5,7 +5,7 @@ import pytest
 from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import equi_width_layout
-from repro.mining.engine import mine_binned_rules, rule_pairs
+from repro.mining.engine import mine_binned_rules, rule_grid, rule_pairs
 
 
 def make_array():
@@ -21,6 +21,31 @@ def make_array():
         [0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1],
     )
     return array  # N = 11
+
+
+class TestSupportLevel:
+    """A support threshold of exactly ``c / N``, as the optimizer's
+    lattice visits it, admits the cells of count ``c``.  In float64
+    ``400000 * (51 / 400000)`` is ``51.00000000000001``, so a count test
+    against ``N * min_support`` dropped such a cell."""
+
+    def test_level_admits_its_own_cells(self):
+        n_total, count = 400_000, 51
+        array = BinArray(
+            x_layout=equi_width_layout("x", 0, 2, 2),
+            y_layout=equi_width_layout("y", 0, 2, 2),
+            rhs_encoding=CategoricalEncoding("g", ("A", "other")),
+        )
+        array.counts[0, 0, 0] = count
+        array.counts[1, 1, 1] = n_total - count
+        array.totals[0, 0] = count
+        array.totals[1, 1] = n_total - count
+        array.n_total = n_total
+        assert n_total * (count / n_total) > count
+        grid = rule_grid(array, 0, count / n_total, 0.0)
+        assert grid.cells.tolist() == [[True, False], [False, False]]
+        assert rule_pairs(array, 0, count / n_total, 0.0) == [(0, 0)]
+        assert rule_grid(array, 0, (count + 1) / n_total, 0.0).is_empty()
 
 
 class TestRulePairs:

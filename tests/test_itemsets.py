@@ -113,3 +113,15 @@ class TestFrequentItemsets:
     def test_rejects_bad_support(self, counter):
         with pytest.raises(ValueError):
             frequent_itemsets(counter, min_support=1.5)
+
+
+def test_support_level_admits_its_own_itemsets():
+    """``25 * (7 / 25)`` exceeds 7 in float64; the threshold ``7 / 25``
+    still admits an item present in 7 of 25 transactions."""
+    counter = ItemsetCounter.from_transactions(
+        [{"a"}] * 7 + [{"b"}] * 18
+    )
+    assert 25 * (7 / 25) > 7
+    assert frequent_itemsets(counter, 7 / 25) == {
+        frozenset({"a"}): 7 / 25, frozenset({"b"}): 18 / 25,
+    }
