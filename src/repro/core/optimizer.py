@@ -174,6 +174,16 @@ class OptimizerResult:
     def n_trials(self) -> int:
         return len(self.history)
 
+    @property
+    def trials_after_best(self) -> int:
+        """Trials the search ran after its winning trial: the search
+        that a stop at the winner would have saved."""
+        position = next(
+            index for index, trial in enumerate(self.history)
+            if trial is self.best
+        )
+        return len(self.history) - 1 - position
+
 
 @dataclass
 class HeuristicOptimizer:
@@ -208,6 +218,7 @@ class HeuristicOptimizer:
             "mdl_weights": asdict(self.weights),
         }) as capture:
             result = self._search(bin_array, rhs_code)
+            capture.span.set("trials_after_best", result.trials_after_best)
         if capture.report is not None:
             result = _replace(result, run_report=capture.report)
         return result
@@ -274,17 +285,20 @@ class HeuristicOptimizer:
         if best is None or best_artifacts is None:
             raise ValueError("optimizer made no trials")
         segmentation, outcome = best_artifacts
-        logger.info(
-            "threshold search stopped by %s after %d trials; best %s",
-            stopped_by, len(history), best,
-        )
-        return OptimizerResult(
+        result = OptimizerResult(
             best=best,
             segmentation=segmentation,
             outcome=outcome,
             history=tuple(history),
             stopped_by=stopped_by,
         )
+        metrics.inc("optimizer.trials_after_best", result.trials_after_best)
+        logger.info(
+            "threshold search stopped by %s after %d trials (%d after "
+            "the best); best %s", stopped_by, len(history),
+            result.trials_after_best, best,
+        )
+        return result
 
     def _run_trial(
         self, bin_array: BinArray, rhs_code: int, min_support: float,

@@ -67,6 +67,9 @@ METRICS: dict[str, tuple[str, str]] = {
     'optimizer.trials':
         ('counter',
          'threshold pairs tried'),
+    'optimizer.trials_after_best':
+        ('counter',
+         'optimizer trials run after the winning trial of their search'),
     'pruning.clusters_dropped':
         ('counter',
          'clusters removed by dynamic pruning'),

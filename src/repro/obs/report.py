@@ -254,6 +254,16 @@ class RunCapture:
         self._started_at = 0.0
         self._perf_start = 0.0
 
+    @property
+    def span(self):
+        """The span this capture records: its root span, or its child
+        span in an enclosing run; a no-op span when tracing is off."""
+        if self._child is not None:
+            return self._child
+        if self._root is not None:
+            return self._root
+        return _tracing.NOOP_SPAN
+
     def __enter__(self) -> "RunCapture":
         self._outer = _active_capture.get()
         self._token = _active_capture.set(self)

@@ -485,6 +485,12 @@ class TestPipelineIntegration:
             assert name in counters, name
         assert counters["binner.tuples_binned"] == len(table)
         assert counters["optimizer.trials"] == len(result.history)
+        best = next(index for index, trial in enumerate(result.history)
+                    if trial is result.best_trial)
+        after_best = len(result.history) - 1 - best
+        assert counters["optimizer.trials_after_best"] == after_best
+        search = root.find("optimizer.search")
+        assert search.attributes["trials_after_best"] == after_best
         assert "binner.occupancy_fraction" in report.gauges()
 
     def test_fit_without_obs_attaches_nothing(self, table):
@@ -516,7 +522,15 @@ class TestPipelineIntegration:
         search = optimizer.search(binner.bin_array, rhs_code)
         assert search.run_report is not None
         assert search.run_report.name == "optimizer.search"
-        assert search.run_report.counters()["optimizer.trials"] >= 1
+        counters = search.run_report.counters()
+        assert counters["optimizer.trials"] >= 1
+        # Search wasted after the winning trial shows in the report.
+        assert counters["optimizer.trials_after_best"] == (
+            search.trials_after_best
+        )
+        assert search.run_report.span_tree().attributes[
+            "trials_after_best"
+        ] == search.trials_after_best
 
 
 class TestServeIntegration:

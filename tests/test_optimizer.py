@@ -106,6 +106,14 @@ class TestHeuristicOptimizer:
         )
         assert result.n_trials == len(result.history)
         assert result.best.n_clusters == len(result.segmentation)
+        # The winner is the last trial that improved on every earlier
+        # one; the trials after it are the wasted search.
+        winner = len(result.history) - 1 - result.trials_after_best
+        assert result.history[winner] is result.best
+        assert all(
+            trial.mdl_cost >= result.best.mdl_cost - optimizer.config.epsilon
+            for trial in result.history[winner + 1:]
+        )
 
     def test_clean_data_yields_three_clusters(self, f2_binner,
                                               f2_clean_table):
