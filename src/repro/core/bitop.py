@@ -261,20 +261,13 @@ class BitOpClusterer:
         Terminate when the largest remaining rectangle covers fewer than
         this many cells ("if the algorithm cannot locate a sufficiently
         large cluster it terminates").  The default of 1 covers everything.
-    max_clusters:
-        Safety bound on the number of clusters returned; ``None`` means
-        unbounded.  The paper's MDL step makes huge cluster counts
-        uncompetitive anyway, so this is a guard rail, not policy.
     """
 
     min_cells: int = 1
-    max_clusters: int | None = None
 
     def __post_init__(self) -> None:
         if self.min_cells < 1:
             raise ValueError("min_cells must be at least 1")
-        if self.max_clusters is not None and self.max_clusters < 0:
-            raise ValueError("max_clusters must be non-negative")
 
     def cluster(self, grid: RuleGrid) -> list[GridRect]:
         """Return a greedy rectangle cover of the set cells of ``grid``.
@@ -284,9 +277,7 @@ class BitOpClusterer:
         *original* set cells but never contain a cell that was clear.
         """
         with trace("bitop") as span:
-            clusters = _greedy_cover(
-                grid.row_bitmaps(), self.min_cells, self.max_clusters
-            )
+            clusters = _greedy_cover(grid.row_bitmaps(), self.min_cells)
             metrics.inc("bitop.clusters_found", len(clusters))
             span.set("clusters_found", len(clusters))
             logger.debug("BitOp covered the grid with %d rectangles",
@@ -294,8 +285,7 @@ class BitOpClusterer:
         return clusters
 
 
-def _greedy_cover(rows: list[int], min_cells: int,
-                  max_clusters: int | None) -> list[GridRect]:
+def _greedy_cover(rows: list[int], min_cells: int) -> list[GridRect]:
     """Take the largest candidate, clear it, repeat — incrementally.
 
     Each start row keeps its best candidate in a
@@ -306,7 +296,7 @@ def _greedy_cover(rows: list[int], min_cells: int,
     """
     scans = StartRowChains(rows)
     clusters: list[GridRect] = []
-    while max_clusters is None or len(clusters) < max_clusters:
+    while True:
         top = min(filter(None, scans.best), default=None)
         if top is None or -top[0] < min_cells:
             break

@@ -33,8 +33,7 @@ def write_csv(table: Table, path: str | Path) -> None:
         writer = csv.writer(handle)
         writer.writerow(names)
         columns = [table.column(name) for name in names]
-        for i in range(len(table)):
-            writer.writerow([column[i] for column in columns])
+        writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
 def _parse_row(specs: Sequence[AttributeSpec], row: Sequence[str],

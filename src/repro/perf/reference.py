@@ -519,19 +519,18 @@ def scan_start_row_scalar(rows: Sequence[int], start: int,
     return found, reach
 
 
-def bitop_cover_scalar(grid: RuleGrid, min_cells: int = 1,
-                       max_clusters: int | None = None) -> list[GridRect]:
+def bitop_cover_scalar(grid: RuleGrid, min_cells: int = 1) -> list[GridRect]:
     """Re-enumerate-everything greedy cover: the original
     :meth:`repro.core.bitop.BitOpClusterer.cluster` loop.
 
     Each round enumerates every candidate rectangle of the whole grid
     with :func:`scan_start_row_scalar`, takes the largest (ties to the
     smallest rectangle in sorted order) and clears it, until the largest
-    has fewer than ``min_cells`` cells or ``max_clusters`` are taken.
+    has fewer than ``min_cells`` cells.
     """
     rows = grid.row_bitmaps()
     clusters: list[GridRect] = []
-    while max_clusters is None or len(clusters) < max_clusters:
+    while True:
         candidates = [
             GridRect(start, start + height - 1, first_bit,
                      first_bit + length - 1)

@@ -161,29 +161,12 @@ class TestBitOpClusterer:
         assert GridRect(0, 4, 0, 4) in clusters
         assert GridRect(9, 9, 9, 9) not in clusters
 
-    def test_max_clusters_bound(self):
-        grid = RuleGrid.empty(6, 1)
-        for i in range(0, 6, 2):
-            grid.cells[i, 0] = True
-        clusters = BitOpClusterer(max_clusters=2).cluster(grid)
-        assert len(clusters) == 2
-
     def test_empty_grid(self):
         assert BitOpClusterer().cluster(RuleGrid.empty(3, 3)) == []
 
     def test_rejects_bad_min_cells(self):
         with pytest.raises(ValueError, match="min_cells must be at least 1"):
             BitOpClusterer(min_cells=0)
-
-    def test_rejects_negative_max_clusters(self):
-        with pytest.raises(ValueError,
-                           match="max_clusters must be non-negative"):
-            BitOpClusterer(max_clusters=-1)
-
-    def test_zero_max_clusters_takes_nothing(self):
-        grid = RuleGrid.empty(3, 3)
-        grid.set_rect(GridRect(0, 2, 0, 2))
-        assert BitOpClusterer(max_clusters=0).cluster(grid) == []
 
     def test_greedy_takes_big_rectangle_first(self):
         grid = RuleGrid.empty(8, 8)

@@ -74,12 +74,14 @@ def test_longest_run_is_the_lowest_longest_run(mask):
 @given(seeded_grids())
 def test_cover_counts_every_candidate_of_its_first_scan(grid):
     """With no cluster taken, the cover's count of enumerated candidates
-    is exactly the enumeration's, though it builds none of them."""
+    is exactly the enumeration's, though it builds none of them.  No
+    candidate reaches ``min_cells`` when it exceeds the grid's size."""
     expected = len(enumerate_rectangles(grid.row_bitmaps()))
     registry = metrics.MetricsRegistry()
     previous = metrics.swap_registry(registry)
     try:
-        assert BitOpClusterer(max_clusters=0).cluster(grid) == []
+        too_large = grid.cells.size + 1
+        assert BitOpClusterer(min_cells=too_large).cluster(grid) == []
     finally:
         metrics.swap_registry(previous)
     counters = registry.snapshot()["counters"]

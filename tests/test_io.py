@@ -40,6 +40,28 @@ class TestRoundTrip:
             60_000.0, 90_000.0, 40_000.0
         ]
 
+    def test_written_text_is_exact(self, tmp_path):
+        """Floats in their shortest round-trip form, integer-domain and
+        string categories as their ``str``, CRLF row ends."""
+        specs = [
+            quantitative("age", 20, 80),
+            categorical("zipcode", range(9)),
+            categorical("group", ("A", "other")),
+        ]
+        table = Table.from_columns(specs, {
+            "age": [25.0, 0.1 + 0.2, 1e-7],
+            "zipcode": [3, 0, 8],
+            "group": ["other", "A", "A"],
+        })
+        path = tmp_path / "data.csv"
+        write_csv(table, path)
+        assert path.read_bytes() == (
+            b"age,zipcode,group\r\n"
+            b"25.0,3,other\r\n"
+            b"0.30000000000000004,0,A\r\n"
+            b"1e-07,8,A\r\n"
+        )
+
     def test_empty_table_round_trip(self, tmp_path):
         empty = Table.from_columns(
             SPECS, {"age": [], "salary": [], "group": []}
