@@ -58,12 +58,14 @@ from repro.core.bitop import BitOpClusterer  # noqa: E402
 from repro.core.clusterer import GridClusterer  # noqa: E402
 from repro.core.grid import RuleGrid  # noqa: E402
 from repro.core.merging import merge_clusters  # noqa: E402
-from repro.core.optimizer import ThresholdLattice  # noqa: E402
+from repro.core.optimizer import (  # noqa: E402
+    ThresholdLattice,
+    segmentation_from_outcome,
+)
 from repro.core.smoothing import neighbourhood_mean  # noqa: E402
 from repro.core.verifier import Verifier  # noqa: E402
 from repro.core.rules import ClusteredRule, Interval  # noqa: E402
 from repro.core.segmentation import Segmentation  # noqa: E402
-from repro.data.functions import true_regions  # noqa: E402
 from repro.data.schema import (  # noqa: E402
     CategoricalColumn,
     Table,
@@ -144,32 +146,46 @@ def bench_binner(n: int, trials: int) -> dict:
     }
 
 
-def bench_verifier(n: int, trials: int) -> dict:
-    """Verify a 3-rule Function 2 segmentation on an n-tuple table (5
-    repeats of k=1000): a full-table coverage pass per call vs the
-    verifier's samples, drawn once at construction.
-
-    The construction (drawing and gathering the samples) happens once
-    per fit, outside the timed call; its cost is recorded on its own.
-    """
+def _fit_dense_trial(n: int) -> tuple:
+    """``(table, bin_array, rhs_code, thresholds)`` of one optimizer trial
+    on a table shaped like the e2e fit-dense workload (n tuples of
+    Function 2, 32x32 bins), at the lattice's lowest support level and
+    its middle confidence level."""
     table = repro.generate_synthetic(repro.SyntheticConfig(
-        n_tuples=n, function_id=2, perturbation=0.05, seed=202,
+        n_tuples=n, function_id=2, perturbation=0.05, seed=808,
     ))
-    segmentation = Segmentation.from_rules([
-        ClusteredRule(
-            "age", "salary",
-            Interval(region.x_lo, region.x_hi,
-                     closed_high=region.x_closed_hi),
-            Interval(region.y_lo, region.y_hi,
-                     closed_high=region.y_closed_hi),
-            "group", "A", support=0.1, confidence=0.9,
-        )
-        for region in true_regions(2)
-    ])
+    binner = bin_table(table, "age", "salary", "group", 32, 32)
+    bin_array = binner.bin_array
+    rhs_code = binner.rhs_encoding.code_of("A")
+    lattice = ThresholdLattice(bin_array, rhs_code)
+    support_count = lattice.support_counts[0]
+    confidences = lattice.coarsen_confidences(support_count, 10)
+    thresholds = (support_count / lattice.n_total,
+                  confidences[len(confidences) // 2])
+    return table, bin_array, rhs_code, thresholds
+
+
+def bench_verifier(n: int, trials: int) -> dict:
+    """Verify one fit-dense-shaped trial's kept rectangles (5 repeats of
+    k=1000): a full-table coverage pass over the trial's rules per call
+    vs ``Verifier.verify_rects``, which counts the rectangles' cells of
+    samples placed on the grid once per fit.
+
+    The construction (drawing the samples and counting them per grid
+    cell) happens once per fit, outside the timed call; its cost is
+    recorded on its own.
+    """
+    table, bin_array, rhs_code, thresholds = _fit_dense_trial(n)
+    outcome = GridClusterer().cluster(bin_array, rhs_code, *thresholds)
+    segmentation = segmentation_from_outcome(outcome, bin_array, rhs_code)
+    layouts = (bin_array.x_layout, bin_array.y_layout)
+    kept = outcome.pruning.kept
 
     def construct() -> Verifier:
-        return Verifier(table, "group", "A", sample_size=1000, repeats=5,
-                        seed=7)
+        verifier = Verifier(table, "group", "A", sample_size=1000,
+                            repeats=5, seed=7)
+        verifier.verify_rects(*layouts, ())
+        return verifier
 
     verifier = construct()
 
@@ -177,7 +193,7 @@ def bench_verifier(n: int, trials: int) -> dict:
         return reference.verify_scalar(verifier, segmentation)
 
     def vectorized():
-        return verifier.verify(segmentation)
+        return verifier.verify_rects(*layouts, kept)
 
     assert scalar() == vectorized(), "verifier reports differ"
     return {
@@ -383,23 +399,11 @@ def bench_bitop_cover(n: int, trials: int) -> dict:
 
 
 def bench_trial(n: int, trials: int) -> dict:
-    """One optimizer trial's clustering on a table shaped like the e2e
-    fit-dense workload (n tuples of Function 2, 32x32 bins), at the
-    lattice's lowest support level and its middle confidence level:
-    the composed scalar stages (per-cell pairs, shift-and-add
-    smoothing, re-enumerating cover, pairwise-rescan merge) vs
-    ``GridClusterer.cluster``."""
-    table = repro.generate_synthetic(repro.SyntheticConfig(
-        n_tuples=n, function_id=2, perturbation=0.05, seed=808,
-    ))
-    binner = bin_table(table, "age", "salary", "group", 32, 32)
-    bin_array = binner.bin_array
-    rhs_code = binner.rhs_encoding.code_of("A")
-    lattice = ThresholdLattice(bin_array, rhs_code)
-    support_count = lattice.support_counts[0]
-    confidences = lattice.coarsen_confidences(support_count, 10)
-    thresholds = (support_count / lattice.n_total,
-                  confidences[len(confidences) // 2])
+    """One optimizer trial's clustering on a fit-dense-shaped table
+    (:func:`_fit_dense_trial`): the composed scalar stages (per-cell
+    pairs, shift-and-add smoothing, re-enumerating cover, pairwise-rescan
+    merge) vs ``GridClusterer.cluster``."""
+    _, bin_array, rhs_code, thresholds = _fit_dense_trial(n)
     clusterer = GridClusterer()
 
     def scalar():

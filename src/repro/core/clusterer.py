@@ -11,7 +11,9 @@ threshold pair, produce the clustered association rules.  The steps are
 4. too-small clusters are pruned (Section 3.5),
 5. each surviving rectangle is translated back to value space and scored
    (support/confidence aggregated over its cells) as a
-   :class:`~repro.core.rules.ClusteredRule`.
+   :class:`~repro.core.rules.ClusteredRule` — on the first read of
+   :attr:`ClusteringOutcome.rules`, so an optimizer trial, scored on its
+   rectangles, builds rules only if it wins.
 
 Clustered rule confidence is the aggregate over the rectangle's cells.
 Because smoothing can add cells no individual rule occupied, a cluster's
@@ -26,6 +28,7 @@ from __future__ import annotations
 import logging
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.binning.bin_array import BinArray
 from repro.core.bitop import BitOpClusterer
@@ -100,17 +103,30 @@ class ClustererConfig:
 
 @dataclass
 class ClusteringOutcome:
-    """Everything one pipeline run produced, for inspection and tests."""
+    """Everything one pipeline run produced, for inspection and tests.
+
+    :attr:`rules` are translated from ``bin_array`` when first read, so
+    read them before the BinArray changes.
+    """
 
     raw_grid: RuleGrid
     smoothed_grid: RuleGrid
     clusters: tuple[GridRect, ...]
     pruning: PruningReport
-    rules: tuple[ClusteredRule, ...]
+    bin_array: BinArray = field(repr=False, compare=False)
+    rhs_code: int
+
+    @cached_property
+    def rules(self) -> tuple[ClusteredRule, ...]:
+        """The kept rectangles as value-space clustered rules."""
+        return tuple(
+            clustered_rule_from_rect(rect, self.bin_array, self.rhs_code)
+            for rect in self.pruning.kept
+        )
 
     @property
     def n_rules(self) -> int:
-        return len(self.rules)
+        return len(self.pruning.kept)
 
 
 @dataclass
@@ -149,21 +165,18 @@ class GridClusterer:
                     found, (bin_array.n_x, bin_array.n_y),
                     fraction=self.config.prune_fraction,
                 )
-            rules = tuple(
-                clustered_rule_from_rect(rect, bin_array, rhs_code)
-                for rect in pruning.kept
-            )
             logger.debug(
                 "clustered the rule grid into %d rules "
                 "(support>=%g confidence>=%g)",
-                len(rules), min_support, min_confidence,
+                len(pruning.kept), min_support, min_confidence,
             )
         return ClusteringOutcome(
             raw_grid=raw_grid,
             smoothed_grid=smoothed,
             clusters=tuple(found),
             pruning=pruning,
-            rules=rules,
+            bin_array=bin_array,
+            rhs_code=rhs_code,
         )
 
     def _smooth(self, grid: RuleGrid, bin_array: BinArray, rhs_code: int,

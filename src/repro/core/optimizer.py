@@ -17,9 +17,11 @@ combinatorial optimisation the paper attacks heuristically (Section 3.7):
   rules (within some epsilon)" or the time budget expires.
 
 Each candidate pair runs the full downstream pipeline (cluster → verify →
-MDL) and the pair with the lowest MDL cost wins.  Because the engine
-re-mines from the resident BinArray, each trial costs array scans, not
-data passes.
+MDL, :func:`run_trial`) and the pair with the lowest MDL cost wins.
+Because the engine re-mines from the resident BinArray and the verifier
+scores the kept rectangles on its samples' grid cells, each trial costs
+grid-sized work, not data passes; only the winner's rectangles are
+translated into value-space rules.
 """
 
 from __future__ import annotations
@@ -238,7 +240,7 @@ class HeuristicOptimizer:
 
         history: list[TrialRecord] = []
         best: TrialRecord | None = None
-        best_artifacts: tuple[Segmentation, ClusteringOutcome] | None = None
+        best_outcome: ClusteringOutcome | None = None
         stale_levels = 0
         stopped_by = "exhausted"
 
@@ -256,8 +258,9 @@ class HeuristicOptimizer:
                 trial_start = time.perf_counter()
                 with trace("optimizer.trial", min_support=support,
                            min_confidence=confidence) as span:
-                    trial, artifacts = self._run_trial(
-                        bin_array, rhs_code, support, confidence
+                    trial, outcome = run_trial(
+                        self.clusterer, self.verifier, self.weights,
+                        bin_array, rhs_code, support, confidence,
                     )
                     span.set("n_clusters", trial.n_clusters)
                     span.set("mdl_cost", trial.mdl_cost)
@@ -272,7 +275,7 @@ class HeuristicOptimizer:
                 )
                 if improved:
                     best = trial
-                    best_artifacts = artifacts
+                    best_outcome = outcome
                     level_improved = True
             if level_improved:
                 stale_levels = 0
@@ -282,13 +285,14 @@ class HeuristicOptimizer:
                     stopped_by = "no improvement"
                     break
 
-        if best is None or best_artifacts is None:
+        if best is None or best_outcome is None:
             raise ValueError("optimizer made no trials")
-        segmentation, outcome = best_artifacts
         result = OptimizerResult(
             best=best,
-            segmentation=segmentation,
-            outcome=outcome,
+            segmentation=segmentation_from_outcome(
+                best_outcome, bin_array, rhs_code
+            ),
+            outcome=best_outcome,
             history=tuple(history),
             stopped_by=stopped_by,
         )
@@ -300,26 +304,33 @@ class HeuristicOptimizer:
         )
         return result
 
-    def _run_trial(
-        self, bin_array: BinArray, rhs_code: int, min_support: float,
-        min_confidence: float,
-    ) -> tuple[TrialRecord, tuple[Segmentation, ClusteringOutcome]]:
-        outcome = self.clusterer.cluster(
-            bin_array, rhs_code, min_support, min_confidence
-        )
-        segmentation = segmentation_from_outcome(
-            outcome, bin_array, rhs_code
-        )
-        report = self.verifier.verify(segmentation)
-        cost = self.weights.cost(len(segmentation), report.mean_errors)
-        trial = TrialRecord(
-            min_support=min_support,
-            min_confidence=min_confidence,
-            n_clusters=len(segmentation),
-            report=report,
-            mdl_cost=cost,
-        )
-        return trial, (segmentation, outcome)
+
+def run_trial(
+    clusterer: GridClusterer, verifier: Verifier, weights: MDLWeights,
+    bin_array: BinArray, rhs_code: int, min_support: float,
+    min_confidence: float,
+) -> tuple[TrialRecord, ClusteringOutcome]:
+    """One threshold pair through cluster → verify → MDL.
+
+    The kept rectangles are verified on the grid
+    (:meth:`Verifier.verify_rects`); no value-space rule is built, so
+    a search pays for rules only when it reads the winner's.
+    """
+    outcome = clusterer.cluster(
+        bin_array, rhs_code, min_support, min_confidence
+    )
+    kept = outcome.pruning.kept
+    report = verifier.verify_rects(
+        bin_array.x_layout, bin_array.y_layout, kept
+    )
+    trial = TrialRecord(
+        min_support=min_support,
+        min_confidence=min_confidence,
+        n_clusters=len(kept),
+        report=report,
+        mdl_cost=weights.cost(len(kept), report.mean_errors),
+    )
+    return trial, outcome
 
 
 def segmentation_from_outcome(outcome: ClusteringOutcome,

@@ -23,6 +23,19 @@ covers only those ``repeats * k`` points — its cost does not grow with
 the table.  Coverage and target membership are element-wise, so the
 report equals the one a full-table pass followed by a gather gives
 (:func:`repro.perf.reference.verify_scalar`).
+
+An optimizer trial's segmentation is a set of grid rectangles, and
+:meth:`Verifier.verify_rects` scores it without translating them to
+value space.  The first call for a pair of bin layouts places every
+sampled tuple in its *exact* cell — bin ``i`` holds ``edges[i] <= v <
+edges[i+1]``, the last bin closed — or in one extra "outside" slot for
+values beyond the layout (or NaN), and counts target and non-target
+samples per cell and repeat.  A rule's intervals are
+``[edges[x_lo], edges[x_hi+1])``, closed at the last bin, and the edges
+strictly increase, so a tuple lies in the rule exactly when its cell
+lies in the rectangle: a trial's counts are two dot products with the
+rectangles' cell mask, and the report equals :meth:`Verifier.verify`
+on the rules the rectangles translate to.
 """
 
 from __future__ import annotations
@@ -30,9 +43,12 @@ from __future__ import annotations
 import logging
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
+from repro.binning.strategies import BinLayout
+from repro.core.rules import GridRect
 from repro.core.segmentation import Segmentation
 from repro.data.sampling import mean_and_stderr, repeat_indices
 from repro.data.schema import Table, equal_mask
@@ -98,6 +114,7 @@ class Verifier:
     _sample_target: np.ndarray = field(init=False, repr=False,
                                        compare=False)
     _sample_columns: dict = field(init=False, repr=False, compare=False)
+    _cell_counts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sample_size <= 0:
@@ -120,6 +137,7 @@ class Verifier:
         object.__setattr__(self, "_indices", indices)
         object.__setattr__(self, "_sample_target", sample_target)
         object.__setattr__(self, "_sample_columns", {})
+        object.__setattr__(self, "_cell_counts", {})
 
     def _sample_column(self, name: str) -> np.ndarray:
         """The ``(repeats, k)`` sample of one LHS column, gathered the
@@ -132,6 +150,32 @@ class Verifier:
             self._sample_columns[name] = column
         return column
 
+    def _sample_cell_counts(self, x_layout: BinLayout,
+                            y_layout: BinLayout) -> tuple:
+        """``(target, other)`` sample counts per repeat and exact cell,
+        each ``(repeats, n_x * n_y + 1)`` with the outside slot last,
+        counted the first time a pair of layouts is verified."""
+        key = (x_layout.attribute, x_layout.edges.tobytes(),
+               y_layout.attribute, y_layout.edges.tobytes())
+        counts = self._cell_counts.get(key)
+        if counts is None:
+            x_bins, x_inside = _exact_bins(
+                x_layout.edges, self._sample_column(x_layout.attribute))
+            y_bins, y_inside = _exact_bins(
+                y_layout.edges, self._sample_column(y_layout.attribute))
+            slots = x_layout.n_bins * y_layout.n_bins + 1
+            cells = np.where(x_inside & y_inside,
+                             x_bins * y_layout.n_bins + y_bins, slots - 1)
+            cells += np.arange(self.repeats)[:, None] * slots
+            is_target = self._sample_target
+            counts = tuple(
+                np.bincount(cells[mask], minlength=self.repeats * slots)
+                .reshape(self.repeats, slots)
+                for mask in (is_target, ~is_target)
+            )
+            self._cell_counts[key] = counts
+        return counts
+
     def verify(self, segmentation: Segmentation) -> VerificationReport:
         """Estimate the segmentation's error by repeated sampling."""
         with trace("verify", sample_size=self.sample_size,
@@ -143,17 +187,38 @@ class Verifier:
             is_target = self._sample_target
             fp_counts = np.count_nonzero(covered & ~is_target, axis=1)
             fn_counts = np.count_nonzero(~covered & is_target, axis=1)
-            metrics.inc("verifier.samples_drawn", self.repeats)
-            metrics.inc("verifier.tuples_sampled",
-                        self.repeats * self.sample_size)
-            rates = (fp_counts + fn_counts) / float(self.sample_size)
-            mean_rate, stderr = mean_and_stderr(rates)
-            span.set("error_rate", mean_rate)
-            logger.debug(
-                "verified %d rules on %d x %d samples: error %.4f",
-                len(segmentation), self.repeats, self.sample_size,
-                mean_rate,
-            )
+            return self._report(span, fp_counts, fn_counts,
+                                len(segmentation))
+
+    def verify_rects(self, x_layout: BinLayout, y_layout: BinLayout,
+                     rects: Sequence[GridRect]) -> VerificationReport:
+        """:meth:`verify` for the segmentation whose rules span
+        ``rects`` on the grid of ``x_layout`` by ``y_layout``, counted
+        on the samples' exact cells (see the module docstring)."""
+        with trace("verify", sample_size=self.sample_size,
+                   repeats=self.repeats) as span:
+            target, other = self._sample_cell_counts(x_layout, y_layout)
+            inside = np.zeros(target.shape[1], dtype=np.int64)
+            grid = inside[:-1].reshape(x_layout.n_bins, y_layout.n_bins)
+            for rect in rects:
+                grid[rect.x_lo:rect.x_hi + 1, rect.y_lo:rect.y_hi + 1] = 1
+            fp_counts = other @ inside
+            fn_counts = target.sum(axis=1) - target @ inside
+            return self._report(span, fp_counts, fn_counts, len(rects))
+
+    def _report(self, span, fp_counts: np.ndarray, fn_counts: np.ndarray,
+                n_rules: int) -> VerificationReport:
+        """The report on per-repeat FP and FN counts."""
+        metrics.inc("verifier.samples_drawn", self.repeats)
+        metrics.inc("verifier.tuples_sampled",
+                    self.repeats * self.sample_size)
+        rates = (fp_counts + fn_counts) / float(self.sample_size)
+        mean_rate, stderr = mean_and_stderr(rates)
+        span.set("error_rate", mean_rate)
+        logger.debug(
+            "verified %d rules on %d x %d samples: error %.4f",
+            n_rules, self.repeats, self.sample_size, mean_rate,
+        )
         return VerificationReport(
             mean_false_positives=float(np.mean(fp_counts)),
             mean_false_negatives=float(np.mean(fn_counts)),
@@ -180,3 +245,17 @@ class Verifier:
             metrics.inc("verifier.tuples_scanned", len(self.table))
             span.set("error_rate", rate)
         return rate
+
+
+def _exact_bins(edges: np.ndarray,
+                values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's bin, ``edges[i] <= v < edges[i+1]`` with the last bin
+    closed, and whether it lies in ``[edges[0], edges[-1]]`` at all.
+
+    Unlike :meth:`BinLayout.assign` nothing is clamped: a value outside
+    the layout (or NaN) is no rule's, so its ``inside`` is false.
+    """
+    bins = np.searchsorted(edges, values, side="right") - 1
+    np.minimum(bins, len(edges) - 2, out=bins)
+    inside = (values >= edges[0]) & (values <= edges[-1])
+    return bins, inside

@@ -24,6 +24,7 @@ from repro.core.optimizer import (
     OptimizerResult,
     ThresholdLattice,
     TrialRecord,
+    run_trial,
     segmentation_from_outcome,
 )
 from repro.core.verifier import Verifier
@@ -86,32 +87,18 @@ class AnnealingOptimizer:
             ci = min(ci, len(confidence_axes[si]) - 1)
             key = (si, ci)
             if key not in cache:
-                outcome = self.clusterer.cluster(
+                cache[key] = run_trial(
+                    self.clusterer, self.verifier, self.weights,
                     bin_array, rhs_code,
                     supports[si], confidence_axes[si][ci],
                 )
-                segmentation = segmentation_from_outcome(
-                    outcome, bin_array, rhs_code
-                )
-                report = self.verifier.verify(segmentation)
-                cost = self.weights.cost(
-                    len(segmentation), report.mean_errors
-                )
-                trial = TrialRecord(
-                    min_support=supports[si],
-                    min_confidence=confidence_axes[si][ci],
-                    n_clusters=len(segmentation),
-                    report=report,
-                    mdl_cost=cost,
-                )
-                cache[key] = (trial, segmentation, outcome)
-                history.append(trial)
+                history.append(cache[key][0])
             return cache[key]
 
         # Start where the heuristic search starts: lowest support, and the
         # middle of its confidence axis.
         si, ci = 0, len(confidence_axes[0]) // 2
-        current_trial, *_ = evaluate(si, ci)
+        current_trial, _ = evaluate(si, ci)
         best_key = (si, min(ci, len(confidence_axes[si]) - 1))
         best_trial = current_trial
 
@@ -122,7 +109,7 @@ class AnnealingOptimizer:
                     si, ci, len(supports),
                     len(confidence_axes[si]), rng,
                 )
-                trial, *_ = evaluate(nsi, nci)
+                trial, _ = evaluate(nsi, nci)
                 delta = trial.mdl_cost - current_trial.mdl_cost
                 metropolis = (
                     delta <= 0
@@ -137,10 +124,12 @@ class AnnealingOptimizer:
                         best_key = (si, ci)
             temperature *= self.config.cooling
 
-        _, segmentation, outcome = cache[best_key]
+        _, outcome = cache[best_key]
         return OptimizerResult(
             best=best_trial,
-            segmentation=segmentation,
+            segmentation=segmentation_from_outcome(
+                outcome, bin_array, rhs_code
+            ),
             outcome=outcome,
             history=tuple(history),
             stopped_by="annealing schedule",

@@ -29,6 +29,7 @@ from repro.core.mdl import MDLWeights
 from repro.core.optimizer import (
     ThresholdLattice,
     TrialRecord,
+    run_trial,
     segmentation_from_outcome,
 )
 from repro.core.verifier import Verifier
@@ -94,28 +95,14 @@ def factorial_search(bin_array: BinArray, rhs_code: int,
     def run(support: float, confidence: float):
         key = (round(support, 12), round(confidence, 12))
         if key not in cache:
-            outcome = clusterer.cluster(
-                bin_array, rhs_code, support, confidence
-            )
-            segmentation = segmentation_from_outcome(
-                outcome, bin_array, rhs_code
-            )
-            report = verifier.verify(segmentation)
-            trial = TrialRecord(
-                min_support=support,
-                min_confidence=confidence,
-                n_clusters=len(segmentation),
-                report=report,
-                mdl_cost=weights.cost(len(segmentation),
-                                      report.mean_errors),
-            )
-            cache[key] = (trial, segmentation)
-            history.append(trial)
+            cache[key] = run_trial(clusterer, verifier, weights, bin_array,
+                                   rhs_code, support, confidence)
+            history.append(cache[key][0])
         return cache[key]
 
     round_effects: list[RoundEffects] = []
     best_trial = None
-    best_segmentation = None
+    best_outcome = None
     for _ in range(rounds):
         corners = [
             run(support_lo, confidence_lo),
@@ -148,9 +135,9 @@ def factorial_search(bin_array: BinArray, rhs_code: int,
                 corner_costs=tuple(costs),
             )
         )
-        for trial, segmentation in corners:
+        for trial, outcome in corners:
             if best_trial is None or trial.mdl_cost < best_trial.mdl_cost:
-                best_trial, best_segmentation = trial, segmentation
+                best_trial, best_outcome = trial, outcome
 
         # Shrink toward the better level of each factor.
         support_span = (support_hi - support_lo) * shrink
@@ -168,7 +155,9 @@ def factorial_search(bin_array: BinArray, rhs_code: int,
         raise ValueError("factorial search made no trials")
     return FactorialReport(
         best=best_trial,
-        segmentation=best_segmentation,
+        segmentation=segmentation_from_outcome(
+            best_outcome, bin_array, rhs_code
+        ),
         rounds=tuple(round_effects),
         history=tuple(history),
     )

@@ -30,11 +30,7 @@ from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import BinLayout
 from repro.core.bitop import _clear_rows, runs_of_set_bits
-from repro.core.clusterer import (
-    ClustererConfig,
-    ClusteringOutcome,
-    clustered_rule_from_rect,
-)
+from repro.core.clusterer import ClustererConfig, ClusteringOutcome
 from repro.core.grid import RuleGrid
 from repro.core.merging import _trim_to_content, hull_cover_fraction
 from repro.core.pruning import prune_clusters
@@ -589,8 +585,6 @@ def cluster_scalar(bin_array: BinArray, rhs_code: int, min_support: float,
         smoothed_grid=smoothed,
         clusters=tuple(clusters),
         pruning=pruning,
-        rules=tuple(
-            clustered_rule_from_rect(rect, bin_array, rhs_code)
-            for rect in pruning.kept
-        ),
+        bin_array=bin_array,
+        rhs_code=rhs_code,
     )

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import clusterer as clusterer_module
+from repro.core.arcs import ARCS, ARCSConfig
 from repro.core.clusterer import GridClusterer
 from repro.core.mdl import MDLWeights
 from repro.core.optimizer import (
@@ -11,6 +13,8 @@ from repro.core.optimizer import (
     _spread,
 )
 from repro.core.verifier import Verifier
+from repro.extensions.annealing import AnnealingConfig, AnnealingOptimizer
+from repro.extensions.factorial import factorial_search
 
 
 @pytest.fixture()
@@ -182,3 +186,53 @@ class TestHeuristicOptimizer:
         )
         with pytest.raises(ValueError, match="does not occur"):
             optimizer.search(empty, 0)
+
+
+class TestWinnerOnlyRules:
+    """Trials are scored on their rectangles: value-space rules are
+    built for the winning trial alone, whichever search runs."""
+
+    @pytest.fixture()
+    def translated(self, monkeypatch):
+        translate = clusterer_module.clustered_rule_from_rect
+        rects = []
+
+        def recording(rect, bin_array, rhs_code):
+            rects.append(rect)
+            return translate(rect, bin_array, rhs_code)
+
+        monkeypatch.setattr(clusterer_module, "clustered_rule_from_rect",
+                            recording)
+        return rects
+
+    def test_fit(self, translated, f2_table):
+        config = ARCSConfig(optimizer=OptimizerConfig(
+            max_support_levels=4, max_confidence_levels=4,
+        ))
+        result = ARCS(config).fit(f2_table, "age", "salary", "group", "A")
+        assert len(result.history) > 1
+        assert sum(trial.n_clusters for trial in result.history) > len(
+            translated
+        )
+        assert translated == list(result.outcome.pruning.kept)
+        assert result.segmentation.rules == result.outcome.rules
+
+    @pytest.mark.parametrize("search", ["annealing", "factorial"])
+    def test_alternative_searches(self, translated, search, f2_binner,
+                                  f2_clean_table):
+        code = f2_binner.rhs_encoding.code_of("A")
+        verifier = Verifier(f2_clean_table, "group", "A",
+                            sample_size=400, repeats=2)
+        if search == "annealing":
+            result = AnnealingOptimizer(
+                GridClusterer(), verifier,
+                config=AnnealingConfig(min_temperature=0.3),
+            ).search(f2_binner.bin_array, code)
+        else:
+            result = factorial_search(f2_binner.bin_array, code,
+                                      GridClusterer(), verifier, rounds=2)
+        assert len(result.history) > 1
+        assert translated == [rule.rect for rule in result.segmentation]
+        assert sum(trial.n_clusters for trial in result.history) > len(
+            translated
+        )

@@ -28,7 +28,7 @@ from repro.binning.strategies import (
     equi_depth_layout,
     equi_width_layout,
 )
-from repro.core import clusterer
+from repro.core import clusterer, optimizer
 from repro.core.arcs import ARCS, ARCSConfig
 from repro.core.bitop import BitOpClusterer, StartRowChains, runs_of_set_bits
 from repro.core.grid import RuleGrid
@@ -43,9 +43,18 @@ from repro.core.smoothing import (
 )
 from repro.core.verifier import Verifier
 from repro.data.perturbation import inject_outliers
-from repro.data.schema import Table, categorical, quantitative
+from repro.data.schema import Table, categorical, equal_mask, quantitative
 from repro.mining.engine import rule_grid, rule_pairs
 from repro.perf import reference
+
+
+#: The shared knobs of the e2e fit workloads: a 32x32 grid, and the whole
+#: 6 x 10 threshold lattice (patience covers every support level).
+E2E_FIT_CONFIG = {
+    "n_bins_x": 32, "n_bins_y": 32,
+    "optimizer": OptimizerConfig(max_support_levels=6,
+                                 max_confidence_levels=10, patience=6),
+}
 
 
 def make_layouts(n_bins=10):
@@ -467,6 +476,29 @@ class _Label:
         return isinstance(other, _Label) and self.key == other.key
 
 
+def check_every_trial(monkeypatch) -> list:
+    """Make each search trial assert that its grid report equals the
+    full-table pass on the trial's rules.  Returns the list each checked
+    trial appends its ``(verifier, segmentation)`` to."""
+    run_trial = optimizer.run_trial
+    checked = []
+
+    def checked_trial(clusterer, verifier, weights, bin_array, rhs_code,
+                      *thresholds):
+        trial, outcome = run_trial(clusterer, verifier, weights, bin_array,
+                                   rhs_code, *thresholds)
+        segmentation = optimizer.segmentation_from_outcome(
+            outcome, bin_array, rhs_code
+        )
+        assert trial.report == reference.verify_scalar(verifier,
+                                                       segmentation)
+        checked.append((verifier, segmentation))
+        return trial, outcome
+
+    monkeypatch.setattr(optimizer, "run_trial", checked_trial)
+    return checked
+
+
 class TestVerifyEquivalence:
     def assert_reports_equal(self, verifier, segmentation):
         assert verifier.verify(segmentation) == reference.verify_scalar(
@@ -541,30 +573,133 @@ class TestVerifyEquivalence:
         reversed_ = [backward.verify(seg) for seg in reversed(series)]
         assert in_order == reversed_[::-1]
 
-    @pytest.mark.parametrize("outliers, seed", [(0.0, 42), (0.10, 43)])
-    def test_function2_fits(self, monkeypatch, outliers, seed):
-        """Every trial of an E1 fit (Function 2, 50k tuples) verifies
-        to the report the full-table pass gives."""
+    @pytest.mark.parametrize("n_tuples, outliers, seed, fit_config", [
+        pytest.param(50_000, 0.0, 42, {}, id="0.0-42"),
+        pytest.param(50_000, 0.10, 43, {}, id="0.1-43"),
+        pytest.param(8_000, 0.10, 0, E2E_FIT_CONFIG, id="fit-fragmented"),
+        pytest.param(400_000, 0.0, 0, E2E_FIT_CONFIG, id="fit-dense"),
+    ])
+    def test_function2_fits(self, monkeypatch, n_tuples, outliers, seed,
+                            fit_config):
+        """Every trial of a fit on Function 2 (E1's 50k tuples, and the
+        shapes of the e2e fit workloads) reports on the grid what the
+        full-table pass reports on the trial's rules."""
         table = repro.generate_synthetic(repro.SyntheticConfig(
-            n_tuples=50_000, function_id=2, perturbation=0.05,
+            n_tuples=n_tuples, function_id=2, perturbation=0.05,
             outlier_fraction=outliers, seed=seed,
         ))
-        verify = Verifier.verify
-        checked = []
-
-        def checked_verify(verifier, segmentation):
-            report = verify(verifier, segmentation)
-            assert report == reference.verify_scalar(verifier, segmentation)
-            checked.append(len(segmentation))
-            return report
-
-        monkeypatch.setattr(Verifier, "verify", checked_verify)
-        config = ARCSConfig(optimizer=OptimizerConfig(
-            max_support_levels=6, max_confidence_levels=10,
-        ))
+        checked = check_every_trial(monkeypatch)
+        config = ARCSConfig(**{
+            "optimizer": OptimizerConfig(max_support_levels=6,
+                                         max_confidence_levels=10),
+            **fit_config,
+        })
         result = ARCS(config).fit(table, "age", "salary", "group", "A")
         assert len(result.segmentation) == 3
-        assert len(checked) > 10 and max(checked) > 0
+        sizes = [len(segmentation) for _, segmentation in checked]
+        assert len(sizes) > 10 and max(sizes) > 0
+
+    def test_verification_table_wider_than_the_layout(self, monkeypatch):
+        """A held-out table whose values run past the training layout on
+        both sides.  Its tuples outside the layout are no rule's, where
+        ``BinLayout.assign`` would clamp them into the edge bins."""
+        def generate(n_tuples, seed):
+            return repro.generate_synthetic(repro.SyntheticConfig(
+                n_tuples=n_tuples, function_id=2, perturbation=0.05,
+                seed=seed,
+            ))
+
+        train, wide = generate(8_000, 5), generate(4_000, 6)
+        held_out = Table.from_columns(
+            [quantitative("age"), quantitative("salary"),
+             wide.spec("group")],
+            {"age": wide.column("age") * 1.5 - 30.0,
+             "salary": wide.column("salary") * 1.2 - 20_000.0,
+             "group": list(wide.column("group"))},
+        )
+        checked = check_every_trial(monkeypatch)
+        result = ARCS(ARCSConfig(**E2E_FIT_CONFIG)).fit(
+            train, "age", "salary", "group", "A",
+            verification_table=held_out,
+        )
+        verifier = checked[0][0]
+        assert verifier.table is held_out and len(checked) > 10
+
+        x_bins = result.binner.x_layout.assign(held_out.column("age"))
+        y_bins = result.binner.y_layout.assign(held_out.column("salary"))
+        clamped = np.zeros(len(held_out), dtype=bool)
+        for rect in result.outcome.pruning.kept:
+            clamped |= ((rect.x_lo <= x_bins) & (x_bins <= rect.x_hi)
+                        & (rect.y_lo <= y_bins) & (y_bins <= rect.y_hi))
+        assert (clamped & ~result.segmentation.covers_table(held_out)).any()
+        fp_counts, fn_counts = reference.count_repeat_errors(
+            clamped, equal_mask(held_out.column("group"), "A"),
+            verifier.sample_size, verifier.seed, range(verifier.repeats),
+        )
+        report = result.best_trial.report
+        assert (np.mean(fp_counts), np.mean(fn_counts)) != (
+            report.mean_false_positives, report.mean_false_negatives
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_grid_reports(self, data):
+        """``verify_rects`` equals the full-table pass on the rules its
+        rectangles translate to, for samples on edges, between them,
+        below the first edge, at the last one and above it."""
+        n_x, n_y = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        table_seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(table_seed)
+        layouts = []
+        for name, n_bins in (("age", n_x), ("salary", n_y)):
+            if data.draw(st.booleans()):
+                layout = equi_width_layout(name, 0.0, 100.0, n_bins)
+            else:
+                layout = equi_depth_layout(
+                    name, rng.integers(0, 101, 200).astype(float), n_bins
+                )
+            layouts.append(layout)
+        x_layout, y_layout = layouts
+        rects = data.draw(st.lists(
+            st.tuples(st.integers(0, x_layout.n_bins - 1),
+                      st.integers(0, x_layout.n_bins - 1),
+                      st.integers(0, y_layout.n_bins - 1),
+                      st.integers(0, y_layout.n_bins - 1)).map(
+                lambda c: GridRect(min(c[0], c[1]), max(c[0], c[1]),
+                                   min(c[2], c[3]), max(c[2], c[3]))),
+            max_size=6,
+        ))
+        n = data.draw(st.integers(1, 600))
+        columns = {}
+        for layout in layouts:
+            edges = layout.edges
+            candidates = np.concatenate([
+                edges, (edges[:-1] + edges[1:]) / 2,
+                [edges[0] - 1.0, np.nextafter(edges[0], -np.inf),
+                 np.nextafter(edges[-1], np.inf), edges[-1] + 1.0],
+            ])
+            columns[layout.attribute] = rng.choice(candidates, n)
+        labels = ("A", "B")
+        columns["group"] = [labels[i] for i in rng.integers(0, 2, n)]
+        table = Table.from_columns(
+            [quantitative("age"), quantitative("salary"),
+             categorical("group", labels)], columns,
+        )
+        verifier = Verifier(table, "group", "A",
+                            sample_size=data.draw(st.integers(1, 300)),
+                            repeats=data.draw(st.integers(1, 5)),
+                            seed=data.draw(st.integers(0, 2**32 - 1)))
+        bin_array = BinArray(x_layout, y_layout,
+                             CategoricalEncoding("group", labels))
+        segmentation = Segmentation(
+            rules=tuple(clusterer.clustered_rule_from_rect(rect, bin_array, 0)
+                        for rect in rects),
+            x_attribute="age", y_attribute="salary",
+            rhs_attribute="group", rhs_value="A",
+        )
+        assert verifier.verify_rects(x_layout, y_layout, rects) == (
+            reference.verify_scalar(verifier, segmentation)
+        )
 
 
 class TestSmoothingEquivalence:
@@ -1027,13 +1162,9 @@ class TestMergeEquivalence:
             n_tuples=n_tuples, function_id=2, perturbation=0.05,
             outlier_fraction=outliers, seed=0,
         ))
-        config = ARCSConfig(
-            n_bins_x=32, n_bins_y=32,
-            optimizer=OptimizerConfig(max_support_levels=6,
-                                      max_confidence_levels=10,
-                                      patience=6),
+        result = ARCS(ARCSConfig(**E2E_FIT_CONFIG)).fit(
+            table, "age", "salary", "group", "A"
         )
-        result = ARCS(config).fit(table, "age", "salary", "group", "A")
         assert len(calls) == len(result.history) > 0
         for clusters, grid, cover_fraction in calls:
             self.assert_merges_equal(clusters, grid, cover_fraction)
