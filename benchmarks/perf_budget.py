@@ -38,6 +38,7 @@ import json
 import platform
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -54,15 +55,21 @@ from repro.binning.bin_array import BinArray  # noqa: E402
 from repro.binning.binner import Binner  # noqa: E402
 from repro.binning.categorical import CategoricalEncoding  # noqa: E402
 from repro.binning.strategies import equi_width_layout  # noqa: E402
+from repro import obs  # noqa: E402
+from repro.core.arcs import ARCS, ARCSConfig  # noqa: E402
 from repro.core.bitop import BitOpClusterer  # noqa: E402
 from repro.core.clusterer import GridClusterer  # noqa: E402
 from repro.core.grid import RuleGrid  # noqa: E402
+from repro.core.mdl import MDLWeights  # noqa: E402
 from repro.core.merging import merge_clusters  # noqa: E402
 from repro.core.optimizer import (  # noqa: E402
+    OptimizerConfig,
     ThresholdLattice,
+    TrialRecord,
+    run_trial,
     segmentation_from_outcome,
 )
-from repro.core.smoothing import neighbourhood_mean  # noqa: E402
+from repro.core.smoothing import smooth_binary  # noqa: E402
 from repro.core.verifier import Verifier  # noqa: E402
 from repro.core.rules import ClusteredRule, Interval  # noqa: E402
 from repro.core.segmentation import Segmentation  # noqa: E402
@@ -72,6 +79,7 @@ from repro.data.schema import (  # noqa: E402
     categorical,
     quantitative,
 )
+from repro.mining.engine import rule_grid, rule_measures  # noqa: E402
 from repro.obs.timing import best_of  # noqa: E402
 from repro.perf import reference  # noqa: E402
 from repro.serve.scorer import compile_scorer  # noqa: E402
@@ -85,7 +93,7 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_hotpaths.json"
 SIZES = {
     "binner": (100_000, 20_000),
     "verifier": (400_000, 100_000),
-    "smoothing": (400, 160),
+    "smoothing": (400_000, 40_000),
     "bitop_masks": (512, 160),
     "scorer": (100_000, 20_000),
     "incremental": (100_000, 20_000),
@@ -93,6 +101,21 @@ SIZES = {
     "bitop_cover": (48, 32),
     "trial": (400_000, 40_000),
 }
+
+#: Table sizes of the ``fit`` scenario, in tuples (both modes).
+FIT_SIZES = (20_000, 200_000)
+#: The fit stages, by the name of the span each emits.  A stage's time
+#: is the summed self time of its spans, so nested stages (``mine`` ...
+#: ``prune`` inside ``cluster`` inside ``optimizer.trial``) count once.
+FIT_STAGES = ("bin", "mine", "smooth", "bitop", "merge", "prune",
+              "verify", "cluster", "optimizer.trial")
+#: The e2e fit workloads' search: a 32x32 grid and the whole 6 support x
+#: 10 confidence lattice.
+FIT_CONFIG = ARCSConfig(
+    n_bins_x=32, n_bins_y=32,
+    optimizer=OptimizerConfig(max_support_levels=6,
+                              max_confidence_levels=10, patience=6),
+)
 
 
 def _sizes(quick: bool) -> dict[str, int]:
@@ -146,6 +169,7 @@ def bench_binner(n: int, trials: int) -> dict:
     }
 
 
+@lru_cache(maxsize=2)
 def _fit_dense_trial(n: int) -> tuple:
     """``(table, bin_array, rhs_code, thresholds)`` of one optimizer trial
     on a table shaped like the e2e fit-dense workload (n tuples of
@@ -176,7 +200,8 @@ def bench_verifier(n: int, trials: int) -> dict:
     recorded on its own.
     """
     table, bin_array, rhs_code, thresholds = _fit_dense_trial(n)
-    outcome = GridClusterer().cluster(bin_array, rhs_code, *thresholds)
+    outcome = GridClusterer().cluster(rule_measures(bin_array, rhs_code),
+                                      *thresholds)
     segmentation = segmentation_from_outcome(outcome, bin_array, rhs_code)
     layouts = (bin_array.x_layout, bin_array.y_layout)
     kept = outcome.pruning.kept
@@ -208,25 +233,30 @@ def bench_verifier(n: int, trials: int) -> dict:
 
 
 def bench_smoothing(n: int, trials: int) -> dict:
-    """Low-pass filter an n*n binary grid at radius 3: shift-and-add vs
-    summed-area table."""
-    rng = np.random.default_rng(303)
-    grid = (rng.random((n, n)) < 0.4).astype(np.float64)
-    radius = 3
+    """Low-pass filter one fit-dense-shaped trial's 32x32 rule grid
+    (:func:`_fit_dense_trial`) as a fit does, one pass at threshold 0.5:
+    the shift-and-add float mean thresholded vs ``smooth_binary``'s
+    integer activation sums."""
+    _, bin_array, rhs_code, thresholds = _fit_dense_trial(n)
+    raw = rule_grid(rule_measures(bin_array, rhs_code), *thresholds)
+    cells = raw.cells.astype(np.float64)
 
     def scalar():
-        return reference.neighbourhood_mean_scalar(grid, radius=radius)
+        return reference.neighbourhood_mean_scalar(cells) >= 0.5
 
     def vectorized():
-        return neighbourhood_mean(grid, radius=radius)
+        return smooth_binary(raw, threshold=0.5)
 
-    assert np.allclose(scalar(), vectorized()), "smoothing kernels differ"
+    assert np.array_equal(scalar(), vectorized().cells), (
+        "smoothing kernels differ"
+    )
     return {
         "name": "smoothing",
         "n": n,
-        "unit": "grid side",
-        "scalar_seconds": best_of(scalar, trials=trials),
-        "vectorized_seconds": best_of(vectorized, trials=trials),
+        "unit": "tuples",
+        "scalar_seconds": best_of(scalar, trials=trials, number=50),
+        "vectorized_seconds": best_of(vectorized, trials=trials,
+                                      number=200),
     }
 
 
@@ -399,28 +429,46 @@ def bench_bitop_cover(n: int, trials: int) -> dict:
 
 
 def bench_trial(n: int, trials: int) -> dict:
-    """One optimizer trial's clustering on a fit-dense-shaped table
-    (:func:`_fit_dense_trial`): the composed scalar stages (per-cell
-    pairs, shift-and-add smoothing, re-enumerating cover, pairwise-rescan
-    merge) vs ``GridClusterer.cluster``."""
-    _, bin_array, rhs_code, thresholds = _fit_dense_trial(n)
+    """One optimizer trial on a fit-dense-shaped table
+    (:func:`_fit_dense_trial`), cluster → verify → MDL: the composed
+    scalar stages (per-cell pairs, shift-and-add smoothing,
+    re-enumerating cover, pairwise-rescan merge, then a full-table
+    verification pass counted tuple by tuple) vs ``run_trial``.
+
+    A search divides the rule measures and counts the verifier's
+    samples per grid cell once for all its trials; both happen before
+    the timed calls.
+    """
+    table, bin_array, rhs_code, thresholds = _fit_dense_trial(n)
     clusterer = GridClusterer()
+    verifier = Verifier(table, "group", "A", sample_size=1000, repeats=5,
+                        seed=0)
+    weights = MDLWeights()
+    measures = rule_measures(bin_array, rhs_code)
 
     def scalar():
-        return reference.cluster_scalar(bin_array, rhs_code, *thresholds)
+        outcome = reference.cluster_scalar(bin_array, rhs_code, *thresholds)
+        kept = outcome.pruning.kept
+        report = reference.verify_scalar(
+            verifier, segmentation_from_outcome(outcome, bin_array, rhs_code)
+        )
+        trial = TrialRecord(*thresholds, n_clusters=len(kept),
+                            report=report,
+                            mdl_cost=weights.cost(len(kept),
+                                                  report.mean_errors))
+        return trial, outcome
 
     def vectorized():
-        return clusterer.cluster(bin_array, rhs_code, *thresholds)
+        return run_trial(clusterer, verifier, weights, measures,
+                         *thresholds)
 
-    slow, fast = scalar(), vectorized()
-    assert np.array_equal(slow.raw_grid.cells, fast.raw_grid.cells), (
-        "trial rule grids differ"
-    )
+    (slow, slow_outcome), (fast, fast_outcome) = scalar(), vectorized()
+    assert slow == fast, "trial records differ"
     assert np.array_equal(
-        slow.smoothed_grid.cells, fast.smoothed_grid.cells
+        slow_outcome.smoothed_grid.cells, fast_outcome.smoothed_grid.cells
     ), "trial smoothed grids differ"
-    assert (slow.clusters, slow.pruning, slow.rules) == (
-        fast.clusters, fast.pruning, fast.rules
+    assert (slow_outcome.clusters, slow_outcome.pruning) == (
+        fast_outcome.clusters, fast_outcome.pruning
     ), "trial clusterings differ"
     return {
         "name": "trial",
@@ -429,6 +477,53 @@ def bench_trial(n: int, trials: int) -> dict:
         "scalar_seconds": best_of(scalar, trials=trials),
         "vectorized_seconds": best_of(vectorized, trials=trials,
                                       number=10),
+    }
+
+
+def bench_fit(n: int, trials: int) -> dict:
+    """``ARCS.fit`` end to end on n tuples of Function 2 with the e2e
+    fit workloads' search (:data:`FIT_CONFIG`): the best untraced fit
+    seconds, and the split of one traced fit by stage.
+
+    Each stage's seconds are the summed self time of the spans that
+    carry its name in the fit's :class:`~repro.obs.report.RunReport`;
+    its share is over the traced fit's total, and ``other`` is what no
+    listed stage's span covers (the search loop, the lattice, the
+    winner's rules).
+    """
+    table = repro.generate_synthetic(repro.SyntheticConfig(
+        n_tuples=n, function_id=2, perturbation=0.05, seed=909,
+    ))
+
+    def fit():
+        return ARCS(FIT_CONFIG).fit(table, "age", "salary", "group", "A")
+
+    untraced = fit()
+    seconds = best_of(fit, trials=trials)
+    obs.enable()
+    try:
+        traced = fit()
+    finally:
+        obs.disable()
+    assert traced.history == untraced.history, "traced fit differs"
+    root = traced.run_report.span_tree()
+    stage_seconds = dict.fromkeys(FIT_STAGES, 0.0)
+    for _, span in root.walk():
+        if span.name in stage_seconds:
+            stage_seconds[span.name] += span.self_seconds
+    total = root.duration
+    stage_seconds["other"] = max(0.0, total - sum(stage_seconds.values()))
+    return {
+        "name": "fit",
+        "n": n,
+        "unit": "tuples",
+        "seconds": seconds,
+        "trials": len(untraced.history),
+        "traced_seconds": total,
+        "stage_seconds": stage_seconds,
+        "stage_shares": {
+            stage: value / total for stage, value in stage_seconds.items()
+        },
     }
 
 
@@ -471,6 +566,19 @@ def apply_budget(result: dict, budget: dict | None,
     return result
 
 
+def apply_ceiling(result: dict, gate: dict | None) -> dict:
+    """Annotate one fit measurement with its absolute-ceiling verdict
+    (in place)."""
+    if gate is None:
+        result["status"] = "no-budget"
+        return result
+    result["max_seconds"] = float(gate["max_seconds"])
+    result["status"] = (
+        "pass" if result["seconds"] <= result["max_seconds"] else "fail"
+    )
+    return result
+
+
 def render(results: list[dict]) -> str:
     header = (
         f"{'benchmark':<12} {'n':>8} {'scalar':>12} {'vectorized':>12} "
@@ -490,9 +598,30 @@ def render(results: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def render_fits(fits: list[dict]) -> str:
+    header = (
+        f"{'fit':<12} {'n':>8} {'seconds':>12} {'trials':>7} "
+        f"{'ceiling':>8} {'status':>9}  stage shares"
+    )
+    lines = [header, "-" * len(header)]
+    for fit in fits:
+        shares = sorted(fit["stage_shares"].items(),
+                        key=lambda item: -item[1])
+        split = " ".join(f"{stage} {share:.0%}" for stage, share in shares)
+        ceiling = fit.get("max_seconds")
+        lines.append(
+            f"{'fit':<12} {fit['n']:>8} {fit['seconds']:>11.4f}s "
+            f"{fit['trials']:>7} "
+            f"{('%.2fs' % ceiling) if ceiling else '-':>8} "
+            f"{fit['status']:>9}  {split}"
+        )
+    return "\n".join(lines)
+
+
 def write_report(path: Path, results: list[dict], mode: str,
                  tolerance: float, status: str,
-                 error: str | None = None) -> None:
+                 error: str | None = None,
+                 fits: list[dict] | None = None) -> None:
     payload = {
         "format": "arcs-perf-report",
         "version": 1,
@@ -507,6 +636,7 @@ def write_report(path: Path, results: list[dict], mode: str,
         },
         "status": status,
         "results": results,
+        "fits": fits or [],
     }
     if error is not None:
         payload["error"] = error
@@ -514,25 +644,22 @@ def write_report(path: Path, results: list[dict], mode: str,
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def rebaseline(results: list[dict], tolerance: float, path: Path) -> None:
-    """Rewrite the budget file from fresh measurements.
+def rebaseline(results: list[dict], budget_payload: dict,
+               path: Path) -> None:
+    """Rewrite the kernel budgets from fresh measurements.
 
     Budgeted speedups are set to half the measured speedup (and at least
     1.0), leaving generous room for machine variation on top of the
     noise tolerance; tighten by hand if a kernel's win must be defended
-    more aggressively.
+    more aggressively.  The absolute gates (``fit``, ``serving``) are
+    kept as they are.
     """
-    budgets = {
+    payload = dict(budget_payload)
+    payload["budgets"] = {
         result["name"]: {
             "min_speedup": round(max(1.0, result["speedup"] / 2.0), 1)
         }
         for result in results
-    }
-    payload = {
-        "format": "arcs-perf-budgets",
-        "version": 1,
-        "noise_tolerance": tolerance,
-        "budgets": budgets,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"rebaselined budgets written to {path}")
@@ -561,7 +688,8 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"report path (default {DEFAULT_OUT})")
     parser.add_argument("--budgets", type=Path, default=BUDGETS_PATH,
                         help=f"budget file (default {BUDGETS_PATH})")
-    parser.add_argument("--only", action="append", choices=BENCHMARKS,
+    parser.add_argument("--only", action="append",
+                        choices=[*BENCHMARKS, "fit"],
                         help="run a subset (repeatable)")
     parser.add_argument("--trials", type=int, default=None,
                         help="timing trials per kernel (default 5, "
@@ -584,33 +712,43 @@ def main(argv: list[str] | None = None) -> int:
     budgets = budget_payload.get("budgets", {})
     trials = args.trials or (3 if args.quick else 5)
     sizes = _sizes(args.quick)
-    names = args.only or list(BENCHMARKS)
+    names = args.only or [*BENCHMARKS, "fit"]
 
     mode = "quick" if args.quick else "full"
     results = []
+    fits = []
     try:
         for name in names:
+            if name == "fit":
+                continue
             result = BENCHMARKS[name](sizes[name], trials)
             apply_budget(result, budgets.get(name), tolerance)
             results.append(result)
+        if "fit" in names:
+            for size in FIT_SIZES:
+                fits.append(apply_ceiling(bench_fit(size, trials),
+                                          budget_payload.get("fit")))
     except BaseException as error:
         # A crashing benchmark must still leave a report behind — the
         # perf trajectory (one report per commit) treats a missing file
         # as a broken run, and CI fails loudly on it.
         write_report(args.out, results, mode, tolerance, "error",
-                     error=f"{type(error).__name__}: {error}")
+                     error=f"{type(error).__name__}: {error}", fits=fits)
         print(f"benchmark crashed; partial report written to {args.out}")
         raise
 
-    failed = [r for r in results if r["status"] == "fail"]
+    failed = [r for r in results + fits if r["status"] == "fail"]
     status = "fail" if failed else "pass"
     print(f"perf-budget run ({mode} mode, tolerance {tolerance:.0%}):\n")
-    print(render(results))
-    write_report(args.out, results, mode, tolerance, status)
+    if results:
+        print(render(results))
+    if fits:
+        print(render_fits(fits))
+    write_report(args.out, results, mode, tolerance, status, fits=fits)
     print(f"\nreport written to {args.out}")
 
     if args.rebaseline:
-        rebaseline(results, tolerance, args.budgets)
+        rebaseline(results, budget_payload, args.budgets)
         return 0
     if failed:
         names = ", ".join(r["name"] for r in failed)

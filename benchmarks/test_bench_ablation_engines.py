@@ -22,7 +22,7 @@ from repro.core.bitop import (
 from repro.core.grid import RuleGrid
 from repro.core.smoothing import smooth_binary
 from repro.mining.apriori import AprioriMiner
-from repro.mining.engine import rule_pairs
+from repro.mining.engine import rule_grid, rule_measures
 from repro.viz.report import format_table
 
 THRESHOLD_SCHEDULE = [
@@ -37,9 +37,9 @@ def test_remining_cost_engine_vs_apriori(benchmark):
 
     # Engine: re-mine the whole schedule from the BinArray.
     def engine_schedule():
+        measures = rule_measures(binner.bin_array, code)
         return [
-            len(rule_pairs(binner.bin_array, code, s, c))
-            for s, c in THRESHOLD_SCHEDULE
+            rule_grid(measures, s, c).n_set for s, c in THRESHOLD_SCHEDULE
         ]
 
     start = time.perf_counter()
@@ -87,7 +87,8 @@ def test_cover_quality_bitop_vs_baselines(benchmark):
     table = generate(12_000, outlier_fraction=0.05, seed=67)
     binner = bin_table(table, "age", "salary", "group", 40, 40)
     code = binner.rhs_encoding.code_of("A")
-    pairs = rule_pairs(binner.bin_array, code, 0.0004, 0.5)
+    pairs = rule_grid(rule_measures(binner.bin_array, code),
+                      0.0004, 0.5).set_pairs()
     grid = smooth_binary(RuleGrid.from_pairs(pairs, 40, 40))
 
     bitop = benchmark(lambda: BitOpClusterer().cluster(grid))

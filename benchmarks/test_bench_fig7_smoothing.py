@@ -11,7 +11,7 @@ from repro.binning import bin_table
 from repro.core.bitop import BitOpClusterer
 from repro.core.grid import RuleGrid
 from repro.core.smoothing import smooth_binary
-from repro.mining.engine import rule_pairs
+from repro.mining.engine import rule_grid, rule_measures
 from repro.viz.ascii import render_side_by_side
 
 
@@ -19,8 +19,8 @@ def _mine_grid():
     table = generate(8_000, outlier_fraction=0.05, seed=31)
     binner = bin_table(table, "age", "salary", "group", 30, 30)
     code = binner.rhs_encoding.code_of("A")
-    pairs = rule_pairs(binner.bin_array, code,
-                       min_support=0.0004, min_confidence=0.5)
+    pairs = rule_grid(rule_measures(binner.bin_array, code),
+                      min_support=0.0004, min_confidence=0.5).set_pairs()
     return RuleGrid.from_pairs(pairs, 30, 30)
 
 

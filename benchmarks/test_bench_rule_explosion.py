@@ -17,7 +17,7 @@ The orders-of-magnitude collapse is the paper's raison d'etre.
 from conftest import ARCS_SWEEP_CONFIG, emit, generate
 from repro.binning import bin_table
 from repro.core.arcs import ARCS
-from repro.mining.engine import rule_pairs
+from repro.mining.engine import rule_grid, rule_measures
 from repro.mining.quantitative import QuantitativeMiner
 from repro.viz.report import format_table
 
@@ -28,7 +28,8 @@ def test_rule_explosion(benchmark):
     # Raw cell rules at a permissive-but-sane threshold pair.
     binner = bin_table(table, "age", "salary", "group", 50, 50)
     code = binner.rhs_encoding.code_of("A")
-    cell_rules = len(rule_pairs(binner.bin_array, code, 0.0002, 0.6))
+    cell_rules = len(rule_grid(rule_measures(binner.bin_array, code),
+                               0.0002, 0.6).set_pairs())
 
     # Srikant-Agrawal range rules.
     miner = QuantitativeMiner(

@@ -14,7 +14,7 @@ from repro.core.bitop import BitOpClusterer
 from repro.core.merging import merge_clusters
 from repro.core.pruning import prune_clusters
 from repro.core.smoothing import smooth_binary
-from repro.mining.engine import rule_grid
+from repro.mining.engine import rule_grid, rule_measures
 from repro.viz.ascii import render_grid, render_side_by_side
 
 N_BINS = 30
@@ -31,7 +31,7 @@ def main() -> None:
                        n_bins_x=N_BINS, n_bins_y=N_BINS)
     code = binner.rhs_encoding.code_of("A")
 
-    raw = rule_grid(binner.bin_array, code,
+    raw = rule_grid(rule_measures(binner.bin_array, code),
                     min_support=0.0004, min_confidence=0.5)
     smoothed = smooth_binary(raw)
 

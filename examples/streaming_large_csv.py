@@ -21,6 +21,7 @@ from repro.core.clusterer import GridClusterer
 from repro.core.optimizer import segmentation_from_outcome
 from repro.data.io import stream_csv, write_csv
 from repro.data.synthetic import DEMOGRAPHIC_ATTRIBUTES, GROUP_ATTRIBUTE
+from repro.mining.engine import rule_measures
 
 N_TUPLES = 300_000
 CHUNK_ROWS = 20_000
@@ -61,7 +62,8 @@ def main() -> None:
               f"(independent of |D|)")
 
         code = binner.rhs_encoding.code_of("A")
-        outcome = GridClusterer().cluster(bin_array, code, 0.0002, 0.7)
+        outcome = GridClusterer().cluster(rule_measures(bin_array, code),
+                                          0.0002, 0.7)
         segmentation = segmentation_from_outcome(
             outcome, bin_array, code
         )

@@ -19,6 +19,7 @@ import repro
 from repro.binning import bin_table
 from repro.core.clusterer import GridClusterer
 from repro.core.optimizer import segmentation_from_outcome
+from repro.mining.engine import rule_measures
 from repro.persistence import load_bin_array, save_bin_array
 
 SUPPORTS = [0.00005, 0.0001, 0.0002, 0.0005, 0.001, 0.002]
@@ -39,12 +40,11 @@ def main() -> None:
     clusterer = GridClusterer()
 
     start = time.perf_counter()
+    measures = rule_measures(binner.bin_array, code)
     counts = {}
     for support in SUPPORTS:
         for confidence in CONFIDENCES:
-            outcome = clusterer.cluster(
-                binner.bin_array, code, support, confidence
-            )
+            outcome = clusterer.cluster(measures, support, confidence)
             counts[(support, confidence)] = outcome.n_rules
     sweep_seconds = time.perf_counter() - start
     n_pairs = len(SUPPORTS) * len(CONFIDENCES)
@@ -69,7 +69,8 @@ def main() -> None:
         path = Path(tmp) / "binarray.npz"
         save_bin_array(binner.bin_array, path)
         loaded = load_bin_array(path)
-        outcome = clusterer.cluster(loaded, code, 0.0002, 0.7)
+        outcome = clusterer.cluster(rule_measures(loaded, code), 0.0002,
+                                    0.7)
         segmentation = segmentation_from_outcome(outcome, loaded, code)
         print(f"\nre-mined from {path.name} "
               f"({path.stat().st_size // 1024} KiB on disk):")

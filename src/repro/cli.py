@@ -67,6 +67,7 @@ from repro.data.io import read_csv, write_csv
 from repro.data.schema import AttributeSpec, categorical, quantitative
 from repro.data.synthetic import DEMOGRAPHIC_ATTRIBUTES, GROUP_ATTRIBUTE
 from repro.data.summary import format_occupancy, profile_bin_array
+from repro.mining.engine import rule_measures
 from repro.obs.report import RunCapture, RunReport
 from repro.persistence import (
     load_bin_array,
@@ -538,7 +539,8 @@ def _command_remine(args: argparse.Namespace) -> int:
         target = _coerce_target(args.target)
         rhs_code = bin_array.rhs_encoding.code_of(target)
         outcome = GridClusterer().cluster(
-            bin_array, rhs_code, args.min_support, args.min_confidence
+            rule_measures(bin_array, rhs_code), args.min_support,
+            args.min_confidence,
         )
         segmentation = segmentation_from_outcome(
             outcome, bin_array, rhs_code

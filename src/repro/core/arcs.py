@@ -37,6 +37,7 @@ from repro.core.optimizer import (
 )
 from repro.core.verifier import Verifier
 from repro.data.schema import Table
+from repro.mining.engine import rule_measures
 from repro.obs import trace
 from repro.obs.report import RunCapture, RunReport
 
@@ -140,7 +141,7 @@ class ARCSResult:
         paper's "nearly instantaneous" threshold change.
         """
         outcome = self.clusterer.cluster(
-            self.binner.bin_array, self.rhs_code,
+            rule_measures(self.binner.bin_array, self.rhs_code),
             min_support, min_confidence,
         )
         return segmentation_from_outcome(

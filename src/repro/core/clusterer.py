@@ -4,7 +4,8 @@ This is the middle of paper Figure 2: given a populated BinArray and one
 threshold pair, produce the clustered association rules.  The steps are
 
 1. the specialised engine emits the grid of qualifying cells
-   (Section 3.2),
+   (Section 3.2) from rule measures computed once per BinArray and
+   target,
 2. the grid is low-pass smoothed (Section 3.4) — binary by default, or
    over support values when ``support_weighted`` is on (Section 5),
 3. BitOp greedily covers the grid with rectangles (Section 3.3),
@@ -37,7 +38,7 @@ from repro.core.merging import merge_clusters
 from repro.core.pruning import PruningReport, prune_clusters
 from repro.core.rules import ClusteredRule, GridRect, Interval
 from repro.core.smoothing import smooth_binary, smooth_support
-from repro.mining.engine import rule_grid
+from repro.mining.engine import RuleMeasures, rule_grid
 from repro.obs import trace
 
 logger = logging.getLogger(__name__)
@@ -135,15 +136,18 @@ class GridClusterer:
 
     config: ClustererConfig = field(default_factory=ClustererConfig)
 
-    def cluster(self, bin_array: BinArray, rhs_code: int,
-                min_support: float,
+    def cluster(self, measures: RuleMeasures, min_support: float,
                 min_confidence: float) -> ClusteringOutcome:
-        """Produce clustered rules at the given thresholds."""
+        """Produce clustered rules at the given thresholds.
+
+        ``measures`` are the rule measures of the BinArray and target
+        (:func:`~repro.mining.engine.rule_measures`); a threshold search
+        builds them once and clusters every trial from them.
+        """
+        bin_array, rhs_code = measures.bin_array, measures.rhs_code
         with trace("cluster", min_support=min_support,
                    min_confidence=min_confidence):
-            raw_grid = rule_grid(
-                bin_array, rhs_code, min_support, min_confidence
-            )
+            raw_grid = rule_grid(measures, min_support, min_confidence)
             smoothed = self._smooth(
                 raw_grid, bin_array, rhs_code, min_support
             )

@@ -93,8 +93,9 @@ class RuleGrid:
         return not self.cells.any()
 
     def set_pairs(self) -> list[tuple[int, int]]:
-        """The set cells as sorted ``(x, y)`` pairs."""
-        return [tuple(pair) for pair in np.argwhere(self.cells)]
+        """The set cells as sorted ``(x, y)`` pairs of Python ints."""
+        rows, cols = np.nonzero(self.cells)
+        return list(zip(rows.tolist(), cols.tolist()))
 
     def copy(self) -> "RuleGrid":
         return RuleGrid(self.cells.copy())
@@ -109,19 +110,22 @@ class RuleGrid:
         "register" and the AND/shift operations BitOp needs are single
         operations, mirroring the paper's implementation note.
 
-        The masks are built by packing each boolean row into bytes with
-        :func:`np.packbits` and materialising one int per row, instead of
-        OR-ing ``1 << j`` per set cell — same values
-        (:func:`repro.perf.reference.row_bitmaps_scalar` is the oracle),
-        but the per-cell work happens inside NumPy.
+        The whole grid is packed at once, each row padded to whole
+        64-bit words and read as little-endian ``uint64``, so one
+        ``tolist`` gives every row's low word as a Python int; each
+        further word column, in grids wider than 64 cells, is shifted
+        into place.  Same values as OR-ing ``1 << j`` per set cell
+        (:func:`repro.perf.reference.row_bitmaps_scalar` is the oracle).
         """
-        if self.n_y == 0:
-            return [0] * self.n_x
-        packed = np.packbits(self.cells, axis=1, bitorder="little")
-        return [
-            int.from_bytes(packed[i].tobytes(), "little")
-            for i in range(self.n_x)
-        ]
+        n_words = max(1, -(-self.n_y // 64))
+        padded = np.zeros((self.n_x, 64 * n_words), dtype=bool)
+        padded[:, :self.n_y] = self.cells
+        words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+        rows = words[:, 0].tolist()
+        for k in range(1, n_words):
+            rows = [row | (word << (64 * k))
+                    for row, word in zip(rows, words[:, k].tolist())]
+        return rows
 
     @classmethod
     def from_row_bitmaps(cls, rows: Sequence[int], n_y: int) -> "RuleGrid":

@@ -18,10 +18,11 @@ combinatorial optimisation the paper attacks heuristically (Section 3.7):
 
 Each candidate pair runs the full downstream pipeline (cluster → verify →
 MDL, :func:`run_trial`) and the pair with the lowest MDL cost wins.
-Because the engine re-mines from the resident BinArray and the verifier
-scores the kept rectangles on its samples' grid cells, each trial costs
-grid-sized work, not data passes; only the winner's rectangles are
-translated into value-space rules.
+Because the engine re-mines from rule measures divided once per search
+(:func:`~repro.mining.engine.rule_measures`) and the verifier scores the
+kept rectangles on its samples' grid cells, each trial costs grid-sized
+work, not data passes; only the winner's rectangles are translated into
+value-space rules.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.binning.bin_array import BinArray
 from repro.core.clusterer import ClusteringOutcome, GridClusterer
 from repro.core.mdl import MDLWeights
 from repro.core.verifier import VerificationReport, Verifier
+from repro.mining.engine import RuleMeasures, rule_measures
 from repro.obs import metrics, trace
 from repro.obs.report import RunCapture, RunReport
 
@@ -237,6 +239,7 @@ class HeuristicOptimizer:
             None if self.config.time_budget_seconds is None
             else time.monotonic() + self.config.time_budget_seconds
         )
+        measures = rule_measures(bin_array, rhs_code)
 
         history: list[TrialRecord] = []
         best: TrialRecord | None = None
@@ -260,7 +263,7 @@ class HeuristicOptimizer:
                            min_confidence=confidence) as span:
                     trial, outcome = run_trial(
                         self.clusterer, self.verifier, self.weights,
-                        bin_array, rhs_code, support, confidence,
+                        measures, support, confidence,
                     )
                     span.set("n_clusters", trial.n_clusters)
                     span.set("mdl_cost", trial.mdl_cost)
@@ -307,19 +310,18 @@ class HeuristicOptimizer:
 
 def run_trial(
     clusterer: GridClusterer, verifier: Verifier, weights: MDLWeights,
-    bin_array: BinArray, rhs_code: int, min_support: float,
-    min_confidence: float,
+    measures: RuleMeasures, min_support: float, min_confidence: float,
 ) -> tuple[TrialRecord, ClusteringOutcome]:
     """One threshold pair through cluster → verify → MDL.
 
-    The kept rectangles are verified on the grid
+    ``measures`` are the search's rule measures, built once for all its
+    trials.  The kept rectangles are verified on the grid
     (:meth:`Verifier.verify_rects`); no value-space rule is built, so
     a search pays for rules only when it reads the winner's.
     """
-    outcome = clusterer.cluster(
-        bin_array, rhs_code, min_support, min_confidence
-    )
+    outcome = clusterer.cluster(measures, min_support, min_confidence)
     kept = outcome.pruning.kept
+    bin_array = measures.bin_array
     report = verifier.verify_rects(
         bin_array.x_layout, bin_array.y_layout, kept
     )

@@ -11,6 +11,10 @@ The paper omits the filter's details "for brevity"; here the filter is a
 3x3 box mean with edge cells normalised by their actual neighbour count,
 followed by a configurable activation threshold (default 0.5: a cell
 survives iff at least half of its neighbourhood, itself included, is set).
+On a binary grid the filter stays in integers: the window sums are
+separable slice additions (:func:`window_sums`), and a cell survives iff
+its sum reaches the least integer whose mean clears the threshold for
+its window's size, which is exactly the float test.
 Section 5 reports "promising results" from smoothing the association rule
 *support values* instead of the binary grid; :func:`smooth_support`
 implements that variant.
@@ -19,6 +23,8 @@ implements that variant.
 from __future__ import annotations
 
 import logging
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,50 +53,71 @@ def window_sums(values: np.ndarray, radius: int,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Sliding ``(2*radius+1)`` square window sums and window sizes.
 
-    One 2-D convolution expressed through a summed-area table (double
-    cumulative sum, the paper's "low-pass filter" as array ops): each
-    window sum is four lookups into the integral image, so the cost is
-    independent of the radius — where the shift-and-add reference
-    (:func:`repro.perf.reference.neighbourhood_mean_scalar`) pays
-    ``(2r+1)^2`` grid passes.  Windows are truncated at the grid edge;
-    the returned ``counts`` are the actual window areas.
+    The box filter (the paper's "low-pass filter") is separable: a
+    window sum is the sum over ``2*radius+1`` rows of each row's sum
+    over ``2*radius+1`` columns.  Each of two passes sums along the
+    first axis of the transposed grid, adding it to itself shifted by
+    ``1..radius`` rows either way, so every addition is a contiguous
+    block of rows; the second transpose restores the orientation.  A
+    radius-1 filter is four slice additions where the shift-and-add
+    reference (:func:`repro.perf.reference.neighbourhood_mean_scalar`)
+    pays nine grid passes.  A shifted slice only reaches cells inside
+    the grid, so windows are truncated at the edge; the returned
+    ``counts`` are the actual window areas (read-only, shared per shape
+    and radius).
 
-    The integral image is stored with its first row and column repeated
-    ``radius`` times before it and its last ones ``radius`` times after,
-    so a window's corners, clamped to the grid, sit at fixed offsets
-    from the cell: the four lookups are four slices, with no index
-    arrays and no gathers.
-
-    Boolean and integer grids are summed in integers, so every window
-    sum is exact; anything else is summed as float64 and agrees with
-    direct summation to normal cumulative-sum rounding.
+    Boolean and integer grids are summed in int64, so every window sum
+    is exact; anything else is summed as float64 and agrees with direct
+    summation to rounding.
     """
     values = np.asarray(values)
-    if values.dtype.kind not in "biu":
-        values = values.astype(np.float64)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D grid, got shape {values.shape}")
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    n_x, n_y = values.shape
-    cumulative = values.cumsum(axis=0).cumsum(axis=1)
-    span = 2 * radius + 1
-    # Padded index p holds integral index clamp(p - radius, 0, n): the
-    # low edge max(i - radius, 0) is p = i, the high edge
-    # min(i + radius + 1, n) is p = i + span.
-    padded = np.zeros((n_x + span, n_y + span), dtype=cumulative.dtype)
-    inner_y = slice(radius + 1, radius + 1 + n_y)
-    padded[radius + 1:radius + 1 + n_x, inner_y] = cumulative
-    padded[radius + 1 + n_x:, inner_y] = padded[radius + n_x, inner_y]
-    padded[:, radius + 1 + n_y:] = padded[:, radius + n_y, None]
-    upper, lower = padded[span:span + n_x], padded[:n_x]
-    sums = (upper[:, span:span + n_y] - lower[:, span:span + n_y]
-            - upper[:, :n_y] + lower[:, :n_y])
+    dtype = np.int64 if values.dtype.kind in "biu" else np.float64
+    sums = values
+    for _ in range(2):
+        grid = sums.T.astype(dtype, order="C")
+        sums = grid.copy()
+        for shift in range(1, radius + 1):
+            sums[shift:] += grid[:-shift]
+            sums[:-shift] += grid[shift:]
+    return sums, _window_areas(*values.shape, radius)
+
+
+@lru_cache(maxsize=64)
+def _window_areas(n_x: int, n_y: int, radius: int) -> np.ndarray:
+    """The area of each cell's edge-truncated window, as float64."""
     rows = np.arange(n_x)
     cols = np.arange(n_y)
     height = np.minimum(rows + radius + 1, n_x) - np.maximum(rows - radius, 0)
     width = np.minimum(cols + radius + 1, n_y) - np.maximum(cols - radius, 0)
-    return sums, (height[:, None] * width[None, :]).astype(np.float64)
+    areas = (height[:, None] * width[None, :]).astype(np.float64)
+    areas.setflags(write=False)
+    return areas
+
+
+@lru_cache(maxsize=64)
+def _activation_sums(n_x: int, n_y: int, radius: int,
+                     threshold: float) -> np.ndarray:
+    """Per cell, the least window sum ``s`` whose mean ``s / area``
+    reaches ``threshold``, so ``sums >= need`` is ``sums / areas >=
+    threshold`` without a division.  Each candidate is checked with the
+    same float division and comparison, so the two agree exactly."""
+    areas, inverse = np.unique(_window_areas(n_x, n_y, radius),
+                               return_inverse=True)
+    least = []
+    for area in areas.tolist():
+        total = max(1, math.ceil(threshold * area))
+        while total > 1 and (total - 1) / area >= threshold:
+            total -= 1
+        while total / area < threshold:
+            total += 1
+        least.append(total)
+    need = np.array(least, dtype=np.int64)[inverse].reshape(n_x, n_y)
+    need.setflags(write=False)
+    return need
 
 
 def neighbourhood_mean(values: np.ndarray, radius: int = 1) -> np.ndarray:
@@ -115,13 +142,15 @@ def smooth_binary(grid: RuleGrid, threshold: float = 0.5,
     if passes < 0:
         raise ValueError("passes must be non-negative")
     with trace("smooth", variant="binary", passes=passes) as span:
-        # Window sums of a 0/1 grid are exact integers and the window
-        # sizes are exact floats, so ``sums / counts`` is the very float
-        # the mean of the float grid gives, with no casts between passes.
+        # The window sums of a 0/1 grid are exact integers, so each pass
+        # compares them with the integer activation sums: the same cells
+        # as the float mean's ``>= threshold``, with no casts or
+        # divisions between passes.
         cells = grid.cells
+        need = _activation_sums(grid.n_x, grid.n_y, radius, threshold)
         for _ in range(passes):
-            sums, counts = window_sums(cells, radius)
-            cells = sums / counts >= threshold
+            sums, _ = window_sums(cells, radius)
+            cells = sums >= need
         smoothed = cells if passes else cells.copy()
         flipped = int(np.count_nonzero(smoothed != grid.cells))
         metrics.inc("smoothing.cells_flipped", flipped)

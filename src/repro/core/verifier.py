@@ -41,7 +41,7 @@ on the rules the rectangles translate to.
 from __future__ import annotations
 
 import logging
-
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -50,7 +50,7 @@ import numpy as np
 from repro.binning.strategies import BinLayout
 from repro.core.rules import GridRect
 from repro.core.segmentation import Segmentation
-from repro.data.sampling import mean_and_stderr, repeat_indices
+from repro.data.sampling import repeat_indices
 from repro.data.schema import Table, equal_mask
 from repro.obs import metrics, trace
 
@@ -152,13 +152,16 @@ class Verifier:
 
     def _sample_cell_counts(self, x_layout: BinLayout,
                             y_layout: BinLayout) -> tuple:
-        """``(target, other)`` sample counts per repeat and exact cell,
-        each ``(repeats, n_x * n_y + 1)`` with the outside slot last,
-        counted the first time a pair of layouts is verified."""
+        """``(counts, target_totals)`` for a pair of layouts, counted the
+        first time it is verified.  ``counts`` is ``(2 * repeats,
+        n_x * n_y + 1)``: per exact cell, with the outside slot last,
+        each repeat's non-target sample counts and then each repeat's
+        target ones; ``target_totals`` lists each repeat's target
+        samples."""
         key = (x_layout.attribute, x_layout.edges.tobytes(),
                y_layout.attribute, y_layout.edges.tobytes())
-        counts = self._cell_counts.get(key)
-        if counts is None:
+        cached = self._cell_counts.get(key)
+        if cached is None:
             x_bins, x_inside = _exact_bins(
                 x_layout.edges, self._sample_column(x_layout.attribute))
             y_bins, y_inside = _exact_bins(
@@ -168,13 +171,15 @@ class Verifier:
                              x_bins * y_layout.n_bins + y_bins, slots - 1)
             cells += np.arange(self.repeats)[:, None] * slots
             is_target = self._sample_target
-            counts = tuple(
+            counts = np.concatenate([
                 np.bincount(cells[mask], minlength=self.repeats * slots)
                 .reshape(self.repeats, slots)
-                for mask in (is_target, ~is_target)
-            )
-            self._cell_counts[key] = counts
-        return counts
+                for mask in (~is_target, is_target)
+            ])
+            target_totals = np.count_nonzero(is_target, axis=1).tolist()
+            cached = counts, target_totals
+            self._cell_counts[key] = cached
+        return cached
 
     def verify(self, segmentation: Segmentation) -> VerificationReport:
         """Estimate the segmentation's error by repeated sampling."""
@@ -187,8 +192,8 @@ class Verifier:
             is_target = self._sample_target
             fp_counts = np.count_nonzero(covered & ~is_target, axis=1)
             fn_counts = np.count_nonzero(~covered & is_target, axis=1)
-            return self._report(span, fp_counts, fn_counts,
-                                len(segmentation))
+            return self._report(span, fp_counts.tolist(),
+                                fn_counts.tolist(), len(segmentation))
 
     def verify_rects(self, x_layout: BinLayout, y_layout: BinLayout,
                      rects: Sequence[GridRect]) -> VerificationReport:
@@ -197,33 +202,50 @@ class Verifier:
         on the samples' exact cells (see the module docstring)."""
         with trace("verify", sample_size=self.sample_size,
                    repeats=self.repeats) as span:
-            target, other = self._sample_cell_counts(x_layout, y_layout)
-            inside = np.zeros(target.shape[1], dtype=np.int64)
+            counts, target_totals = self._sample_cell_counts(x_layout,
+                                                             y_layout)
+            inside = np.zeros(counts.shape[1], dtype=np.int64)
             grid = inside[:-1].reshape(x_layout.n_bins, y_layout.n_bins)
             for rect in rects:
                 grid[rect.x_lo:rect.x_hi + 1, rect.y_lo:rect.y_hi + 1] = 1
-            fp_counts = other @ inside
-            fn_counts = target.sum(axis=1) - target @ inside
+            hits = (counts @ inside).tolist()
+            fp_counts = hits[:self.repeats]
+            fn_counts = [total - hit for total, hit
+                         in zip(target_totals, hits[self.repeats:])]
             return self._report(span, fp_counts, fn_counts, len(rects))
 
-    def _report(self, span, fp_counts: np.ndarray, fn_counts: np.ndarray,
+    def _report(self, span, fp_counts: list[int], fn_counts: list[int],
                 n_rules: int) -> VerificationReport:
-        """The report on per-repeat FP and FN counts."""
+        """The report on per-repeat FP and FN counts, in Python floats.
+
+        Each float is the one NumPy's ``mean`` and ``std(ddof=1)`` give
+        on the same values (:func:`repro.perf.reference.verify_scalar`):
+        the same divisions, and sums in NumPy's order
+        (:func:`_numpy_sum`).  The counts' sums are exact integers.
+        """
         metrics.inc("verifier.samples_drawn", self.repeats)
         metrics.inc("verifier.tuples_sampled",
                     self.repeats * self.sample_size)
-        rates = (fp_counts + fn_counts) / float(self.sample_size)
-        mean_rate, stderr = mean_and_stderr(rates)
+        repeats = self.repeats
+        rates = [(fp + fn) / self.sample_size
+                 for fp, fn in zip(fp_counts, fn_counts)]
+        mean_rate = _numpy_sum(rates) / repeats
+        stderr = 0.0
+        if repeats > 1:
+            deviations = [rate - mean_rate for rate in rates]
+            variance = (_numpy_sum([d * d for d in deviations])
+                        / (repeats - 1))
+            stderr = math.sqrt(variance) / math.sqrt(repeats)
         span.set("error_rate", mean_rate)
         logger.debug(
             "verified %d rules on %d x %d samples: error %.4f",
-            n_rules, self.repeats, self.sample_size, mean_rate,
+            n_rules, repeats, self.sample_size, mean_rate,
         )
         return VerificationReport(
-            mean_false_positives=float(np.mean(fp_counts)),
-            mean_false_negatives=float(np.mean(fn_counts)),
+            mean_false_positives=sum(fp_counts) / repeats,
+            mean_false_negatives=sum(fn_counts) / repeats,
             sample_size=self.sample_size,
-            repeats=self.repeats,
+            repeats=repeats,
             error_rate=mean_rate,
             error_rate_stderr=stderr,
         )
@@ -259,3 +281,33 @@ def _exact_bins(edges: np.ndarray,
     np.minimum(bins, len(edges) - 2, out=bins)
     inside = (values >= edges[0]) & (values <= edges[-1])
     return bins, inside
+
+
+def _numpy_sum(values: list[float]) -> float:
+    """``float(np.sum(values))`` for float64 values, in plain Python.
+
+    NumPy adds fewer than 8 values one after another, up to 128 in 8
+    interleaved partial sums combined pairwise and then the remainder,
+    and more by splitting at a multiple of 8 near the middle.  Floating
+    addition is not associative, so only this order gives NumPy's bits.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if n <= 128:
+        partial = values[:8]
+        end = n - n % 8
+        for start in range(8, end, 8):
+            partial = [a + b
+                       for a, b in zip(partial, values[start:start + 8])]
+        total = (((partial[0] + partial[1]) + (partial[2] + partial[3]))
+                 + ((partial[4] + partial[5]) + (partial[6] + partial[7])))
+        for value in values[end:]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % 8
+    return _numpy_sum(values[:half]) + _numpy_sum(values[half:])

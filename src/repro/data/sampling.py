@@ -62,19 +62,3 @@ def repeated_k_of_n(n: int, k: int, repeats: int,
         raise ValueError("repeats must be positive")
     for _ in range(repeats):
         yield sample_indices(n, k, rng)
-
-
-def mean_and_stderr(values) -> tuple[float, float]:
-    """Return the mean and standard error of a sequence of sample statistics.
-
-    Used to report the verifier's error estimate together with its
-    sampling uncertainty.  The standard error of a single value is zero.
-    """
-    array = np.asarray(list(values), dtype=np.float64)
-    if array.size == 0:
-        raise ValueError("no values to aggregate")
-    mean = float(array.mean())
-    if array.size == 1:
-        return mean, 0.0
-    stderr = float(array.std(ddof=1) / np.sqrt(array.size))
-    return mean, stderr

@@ -28,6 +28,7 @@ from repro.core.optimizer import (
     segmentation_from_outcome,
 )
 from repro.core.verifier import Verifier
+from repro.mining.engine import rule_measures
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,7 @@ class AnnealingOptimizer:
             )
             confidence_axes.append(axis if axis else [0.0])
 
+        measures = rule_measures(bin_array, rhs_code)
         rng = np.random.default_rng(self.config.seed)
         cache: dict[tuple[int, int], tuple] = {}
         history: list[TrialRecord] = []
@@ -89,8 +91,7 @@ class AnnealingOptimizer:
             if key not in cache:
                 cache[key] = run_trial(
                     self.clusterer, self.verifier, self.weights,
-                    bin_array, rhs_code,
-                    supports[si], confidence_axes[si][ci],
+                    measures, supports[si], confidence_axes[si][ci],
                 )
                 history.append(cache[key][0])
             return cache[key]

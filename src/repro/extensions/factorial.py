@@ -33,6 +33,7 @@ from repro.core.optimizer import (
     segmentation_from_outcome,
 )
 from repro.core.verifier import Verifier
+from repro.mining.engine import rule_measures
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,15 @@ def factorial_search(bin_array: BinArray, rhs_code: int,
     confidence_lo = all_confidences[0] if all_confidences else 0.0
     confidence_hi = all_confidences[-1] if all_confidences else 1.0
 
+    measures = rule_measures(bin_array, rhs_code)
     cache: dict[tuple[float, float], tuple] = {}
     history: list[TrialRecord] = []
 
     def run(support: float, confidence: float):
         key = (round(support, 12), round(confidence, 12))
         if key not in cache:
-            cache[key] = run_trial(clusterer, verifier, weights, bin_array,
-                                   rhs_code, support, confidence)
+            cache[key] = run_trial(clusterer, verifier, weights, measures,
+                                   support, confidence)
             history.append(cache[key][0])
         return cache[key]
 

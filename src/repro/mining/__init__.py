@@ -13,7 +13,7 @@ clustering in the first place.
 """
 
 from repro.mining.apriori import AprioriMiner, AssociationRule
-from repro.mining.engine import mine_binned_rules, rule_grid, rule_pairs
+from repro.mining.engine import RuleMeasures, rule_grid, rule_measures
 from repro.mining.itemsets import ItemsetCounter, frequent_itemsets
 from repro.mining.quantitative import (
     QuantitativeMiner,
@@ -22,9 +22,9 @@ from repro.mining.quantitative import (
 )
 
 __all__ = [
-    "mine_binned_rules",
+    "RuleMeasures",
     "rule_grid",
-    "rule_pairs",
+    "rule_measures",
     "AprioriMiner",
     "AssociationRule",
     "ItemsetCounter",

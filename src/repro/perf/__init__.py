@@ -12,7 +12,6 @@ from repro.perf.reference import (
     add_chunk_scalar,
     assign_bins_scalar,
     consume_scalar,
-    count_repeat_errors,
     count_repeat_errors_scalar,
     neighbourhood_mean_scalar,
     row_bitmaps_scalar,
@@ -23,7 +22,6 @@ __all__ = [
     "add_chunk_scalar",
     "assign_bins_scalar",
     "consume_scalar",
-    "count_repeat_errors",
     "count_repeat_errors_scalar",
     "neighbourhood_mean_scalar",
     "row_bitmaps_scalar",

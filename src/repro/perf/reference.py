@@ -37,9 +37,8 @@ from repro.core.pruning import prune_clusters
 from repro.core.rules import GridRect
 from repro.core.segmentation import Segmentation
 from repro.core.verifier import VerificationReport, Verifier
-from repro.data.sampling import mean_and_stderr, repeat_indices
+from repro.data.sampling import repeat_indices
 from repro.data.schema import Table, equal_mask
-from repro.mining.engine import qualifying_cells
 
 
 def assign_bins_scalar(layout: BinLayout, values: np.ndarray) -> np.ndarray:
@@ -182,36 +181,18 @@ def consume_scalar(binner, chunk: Table) -> None:
     add_chunk_scalar(binner.bin_array, x_bins, y_bins, rhs_codes)
 
 
-def count_repeat_errors(covered: np.ndarray, is_target: np.ndarray,
-                        sample_size: int, seed: int,
-                        repeat_ids: Sequence[int],
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """FP and FN counts for a batch of repeats over full-table vectors.
-
-    ``covered``/``is_target`` are full-table boolean vectors; repeat
-    ``repeat_ids[i]`` samples row ``i`` of
-    :func:`repro.data.sampling.repeat_indices`.  All the batch's samples are gathered into one ``(repeats, k)`` matrix and
-    the per-repeat counts fall out of two vectorised comparisons.  This
-    is the counting half of :func:`verify_scalar`.  Returns
-    ``(fp_counts, fn_counts)`` aligned with ``repeat_ids``.
-    """
-    indices = repeat_indices(len(covered), sample_size, seed, repeat_ids)
-    sample_covered = covered[indices]
-    sample_target = is_target[indices]
-    fp_counts = np.count_nonzero(sample_covered & ~sample_target, axis=1)
-    fn_counts = np.count_nonzero(~sample_covered & sample_target, axis=1)
-    return fp_counts.astype(np.int64), fn_counts.astype(np.int64)
-
-
 def count_repeat_errors_scalar(covered: np.ndarray, is_target: np.ndarray,
                                sample_size: int, seed: int,
                                repeat_ids: Sequence[int],
                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-repeat, per-tuple FP/FN counting (the pre-vectorization loop).
+    """Per-repeat, per-tuple FP/FN counting over full-table vectors.
 
-    Same sampling discipline as :func:`count_repeat_errors` — repeat
-    ``r`` draws from ``repeat_rng(seed, r)`` — so the counts must match
-    it exactly.
+    ``covered``/``is_target`` are full-table boolean vectors; repeat
+    ``repeat_ids[i]`` samples row ``i`` of
+    :func:`repro.data.sampling.repeat_indices` (drawn from
+    ``repeat_rng(seed, r)``) and counts its false positives and false
+    negatives one tuple at a time.  Returns ``(fp_counts, fn_counts)``
+    aligned with ``repeat_ids``.
     """
     samples = repeat_indices(len(covered), sample_size, seed, repeat_ids)
     fp_counts = np.zeros(len(repeat_ids), dtype=np.int64)
@@ -231,21 +212,38 @@ def count_repeat_errors_scalar(covered: np.ndarray, is_target: np.ndarray,
     return fp_counts, fn_counts
 
 
+def mean_and_stderr(values) -> tuple[float, float]:
+    """The mean and standard error of a sequence of sample statistics,
+    through NumPy's ``mean`` and ``std(ddof=1)``: the reference for the
+    verifier's plain-Python report floats.  The standard error of a
+    single value is zero."""
+    array = np.asarray(list(values), dtype=np.float64)
+    if array.size == 0:
+        raise ValueError("no values to aggregate")
+    mean = float(array.mean())
+    if array.size == 1:
+        return mean, 0.0
+    stderr = float(array.std(ddof=1) / np.sqrt(array.size))
+    return mean, stderr
+
+
 def verify_scalar(verifier: Verifier,
                   segmentation: Segmentation) -> VerificationReport:
     """:meth:`Verifier.verify` as a full-table pass per call.
 
     Covers every row of the table and builds the full target mask, then
-    gathers the sampled entries (:func:`count_repeat_errors`).  Coverage
-    and target membership are element-wise, so the report must equal
-    :meth:`Verifier.verify`'s exactly.
+    counts each repeat's sample tuple by tuple
+    (:func:`count_repeat_errors_scalar`) and aggregates with NumPy
+    (:func:`mean_and_stderr`, ``np.mean``).  Coverage and target
+    membership are element-wise, and the verifier's plain-Python report
+    sums in NumPy's order, so the reports must be ``==``.
     """
     table = verifier.table
     covered = segmentation.covers_table(table)
     is_target = equal_mask(
         table.column(verifier.rhs_attribute), verifier.target_value
     )
-    fp_counts, fn_counts = count_repeat_errors(
+    fp_counts, fn_counts = count_repeat_errors_scalar(
         covered, is_target, verifier.sample_size, verifier.seed,
         range(verifier.repeats),
     )
@@ -432,12 +430,31 @@ def row_bitmaps_scalar(cells: np.ndarray) -> list[int]:
     return rows
 
 
+def qualifying_cells(bin_array: BinArray, rhs_code: int,
+                     min_support: float,
+                     min_confidence: float) -> np.ndarray:
+    """The boolean grid of cells whose rule clears both thresholds,
+    dividing the counts at every call: the oracle for
+    :func:`repro.mining.engine.rule_grid` on rule measures divided once.
+
+    Support is compared as the fraction ``count / N``; an empty cell
+    never qualifies, so its undefined ratios (``0/0``) are masked out
+    rather than replaced.
+    """
+    counts = bin_array.count_grid(rhs_code)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        support = counts / bin_array.n_total
+        confidence = counts / bin_array.totals
+    return (support >= min_support) & (counts > 0) & (
+        confidence >= min_confidence
+    )
+
+
 def rule_pairs_scalar(bin_array: BinArray, rhs_code: int,
                       min_support: float,
                       min_confidence: float) -> list[tuple[int, int]]:
-    """Per-cell pair extraction: the original
-    :func:`repro.mining.engine.rule_pairs` comprehension over
-    ``np.argwhere``, converting one cell at a time."""
+    """Per-cell pair extraction: a comprehension over ``np.argwhere``
+    of :func:`qualifying_cells`, converting one cell at a time."""
     qualifying = qualifying_cells(
         bin_array, rhs_code, min_support, min_confidence
     )

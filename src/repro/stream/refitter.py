@@ -48,6 +48,7 @@ from repro.core.clusterer import ClustererConfig, GridClusterer
 from repro.core.optimizer import segmentation_from_outcome
 from repro.core.segmentation import Segmentation
 from repro.data.schema import Table
+from repro.mining.engine import rule_measures
 from repro.obs import events, metrics, trace
 from repro.persistence import _rule_to_dict, save_segmentation
 from repro.stream.window import StreamWindow
@@ -243,7 +244,7 @@ class StreamRefitter:
         with trace("stream.refit", window=window_id,
                    tuples=window_tuples):
             outcome = self.clusterer.cluster(
-                self.window.bin_array, self.rhs_code,
+                rule_measures(self.window.bin_array, self.rhs_code),
                 self.config.min_support, self.config.min_confidence,
             )
             segmentation = segmentation_from_outcome(

@@ -8,7 +8,7 @@ from repro.mining.apriori import (
     AssociationRule,
     table_transactions,
 )
-from repro.mining.engine import mine_binned_rules
+from repro.mining.engine import rule_grid, rule_measures
 
 BASKETS = [
     {"bread", "butter", "milk"},
@@ -100,10 +100,10 @@ class TestEngineCrossCheck:
                            n_bins_x=8, n_bins_y=8)
         code = binner.rhs_encoding.code_of("A")
 
-        engine_rules = mine_binned_rules(
-            binner.bin_array, code, min_support, min_confidence
-        )
-        engine_cells = {(r.x_bin, r.y_bin) for r in engine_rules}
+        engine_cells = set(rule_grid(
+            rule_measures(binner.bin_array, code), min_support,
+            min_confidence,
+        ).set_pairs())
 
         x_bins, y_bins = binner.assign_points(sample)
         transactions = [
@@ -132,10 +132,8 @@ class TestEngineCrossCheck:
         binner = bin_table(sample, "age", "salary", "group",
                            n_bins_x=5, n_bins_y=5)
         code = binner.rhs_encoding.code_of("A")
-        engine_rules = {
-            (r.x_bin, r.y_bin): r
-            for r in mine_binned_rules(binner.bin_array, code, 0.01, 0.5)
-        }
+        measures = rule_measures(binner.bin_array, code)
+        engine_cells = set(rule_grid(measures, 0.01, 0.5).set_pairs())
 
         x_bins, y_bins = binner.assign_points(sample)
         transactions = [
@@ -151,8 +149,9 @@ class TestEngineCrossCheck:
             lhs = dict(rule.lhs)
             if set(lhs) != {"X", "Y"}:
                 continue
-            engine_rule = engine_rules[(lhs["X"], lhs["Y"])]
-            assert rule.support == pytest.approx(engine_rule.support)
+            cell = (lhs["X"], lhs["Y"])
+            assert cell in engine_cells
+            assert rule.support == pytest.approx(measures.support[cell])
             assert rule.confidence == pytest.approx(
-                engine_rule.confidence
+                measures.confidence[cell]
             )

@@ -11,6 +11,7 @@ from repro.core.clusterer import (
 )
 from repro.core.rules import GridRect
 from repro.data.functions import true_regions
+from repro.mining.engine import rule_measures
 
 
 @pytest.fixture()
@@ -25,13 +26,15 @@ class TestPipeline:
         regions (the paper's headline claim, in its easiest setting)."""
         bin_array, code = clean_setup
         outcome = GridClusterer().cluster(
-            bin_array, code, min_support=0.0005, min_confidence=0.6
+            rule_measures(bin_array, code), min_support=0.0005,
+            min_confidence=0.6,
         )
         assert outcome.n_rules == 3
 
     def test_rules_near_generating_regions(self, clean_setup):
         bin_array, code = clean_setup
-        outcome = GridClusterer().cluster(bin_array, code, 0.0005, 0.6)
+        outcome = GridClusterer().cluster(rule_measures(bin_array, code),
+                                          0.0005, 0.6)
         regions = {
             (region.x_lo, region.x_hi): region
             for region in true_regions(2)
@@ -49,7 +52,8 @@ class TestPipeline:
 
     def test_outcome_exposes_all_stages(self, clean_setup):
         bin_array, code = clean_setup
-        outcome = GridClusterer().cluster(bin_array, code, 0.0005, 0.6)
+        outcome = GridClusterer().cluster(rule_measures(bin_array, code),
+                                          0.0005, 0.6)
         assert outcome.raw_grid.n_set > 0
         assert outcome.smoothed_grid.n_set > 0
         assert len(outcome.clusters) >= outcome.n_rules
@@ -57,7 +61,8 @@ class TestPipeline:
 
     def test_rule_measures_within_bounds(self, clean_setup):
         bin_array, code = clean_setup
-        outcome = GridClusterer().cluster(bin_array, code, 0.0005, 0.6)
+        outcome = GridClusterer().cluster(rule_measures(bin_array, code),
+                                          0.0005, 0.6)
         for rule in outcome.rules:
             assert 0.0 < rule.support <= 1.0
             assert 0.0 < rule.confidence <= 1.0
@@ -68,7 +73,7 @@ class TestPipeline:
         bin_array, code = clean_setup
         config = ClustererConfig(smoothing=False, merge_clusters=False,
                                  prune_fraction=0.0)
-        outcome = GridClusterer(config).cluster(bin_array, code,
+        outcome = GridClusterer(config).cluster(rule_measures(bin_array, code),
                                                 0.0005, 0.6)
         for rule in outcome.rules:
             assert rule.confidence >= 0.6
@@ -76,14 +81,15 @@ class TestPipeline:
 
     def test_impossible_thresholds_give_empty_outcome(self, clean_setup):
         bin_array, code = clean_setup
-        outcome = GridClusterer().cluster(bin_array, code, 0.9, 0.99)
+        outcome = GridClusterer().cluster(rule_measures(bin_array, code),
+                                          0.9, 0.99)
         assert outcome.n_rules == 0
         assert outcome.raw_grid.is_empty()
 
     def test_support_weighted_variant_runs(self, clean_setup):
         bin_array, code = clean_setup
         config = ClustererConfig(support_weighted=True)
-        outcome = GridClusterer(config).cluster(bin_array, code,
+        outcome = GridClusterer(config).cluster(rule_measures(bin_array, code),
                                                 0.0005, 0.6)
         assert outcome.n_rules >= 1
 
@@ -91,10 +97,10 @@ class TestPipeline:
         bin_array, code = clean_setup
         pruned = GridClusterer(
             ClustererConfig(merge_clusters=False)
-        ).cluster(bin_array, code, 0.0005, 0.6)
+        ).cluster(rule_measures(bin_array, code), 0.0005, 0.6)
         unpruned = GridClusterer(
             ClustererConfig(merge_clusters=False, prune_fraction=0.0)
-        ).cluster(bin_array, code, 0.0005, 0.6)
+        ).cluster(rule_measures(bin_array, code), 0.0005, 0.6)
         assert unpruned.n_rules >= pruned.n_rules
 
 

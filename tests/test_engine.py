@@ -5,7 +5,7 @@ import pytest
 from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import equi_width_layout
-from repro.mining.engine import mine_binned_rules, rule_grid, rule_pairs
+from repro.mining.engine import EMPTY_CELL, rule_grid, rule_measures
 
 
 def make_array():
@@ -21,6 +21,12 @@ def make_array():
         [0, 0, 0, 0, 1, 0, 1, 1, 1, 1, 1],
     )
     return array  # N = 11
+
+
+def rule_pairs(array, rhs_code, min_support, min_confidence):
+    """The engine's qualifying cells as ``(i, j)`` pairs."""
+    return rule_grid(rule_measures(array, rhs_code), min_support,
+                     min_confidence).set_pairs()
 
 
 class TestSupportLevel:
@@ -42,10 +48,11 @@ class TestSupportLevel:
         array.totals[1, 1] = n_total - count
         array.n_total = n_total
         assert n_total * (count / n_total) > count
-        grid = rule_grid(array, 0, count / n_total, 0.0)
+        measures = rule_measures(array, 0)
+        grid = rule_grid(measures, count / n_total, 0.0)
         assert grid.cells.tolist() == [[True, False], [False, False]]
         assert rule_pairs(array, 0, count / n_total, 0.0) == [(0, 0)]
-        assert rule_grid(array, 0, (count + 1) / n_total, 0.0).is_empty()
+        assert rule_grid(measures, (count + 1) / n_total, 0.0).is_empty()
 
 
 class TestRulePairs:
@@ -92,18 +99,27 @@ class TestRulePairs:
 class TestMineBinnedRules:
     def test_rules_carry_measures(self):
         array = make_array()
-        rules = mine_binned_rules(array, 0, 0.0, 0.5)
-        assert len(rules) == 1
-        rule = rules[0]
-        assert (rule.x_bin, rule.y_bin) == (0, 0)
-        assert rule.support == pytest.approx(4 / 11)
-        assert rule.confidence == pytest.approx(4 / 5)
-        assert rule.rhs_value == "A"
+        measures = rule_measures(array, 0)
+        assert rule_grid(measures, 0.0, 0.5).set_pairs() == [(0, 0)]
+        assert measures.support[0, 0] == pytest.approx(4 / 11)
+        assert measures.confidence[0, 0] == pytest.approx(4 / 5)
+        assert measures.support[1, 1] == pytest.approx(1 / 11)
+        assert measures.confidence[1, 1] == pytest.approx(1 / 4)
+        # Empty cells, and cells without the RHS value, rank below any
+        # threshold.
+        assert measures.support[2, 2] == measures.support[3, 3] == (
+            EMPTY_CELL
+        )
+        assert measures.confidence[2, 2] == measures.confidence[3, 3] == (
+            EMPTY_CELL
+        )
+        assert array.rhs_encoding.values[measures.rhs_code] == "A"
 
     def test_remining_with_new_thresholds_needs_no_data(self):
         """The BinArray is the only input — re-mining is a pure re-scan."""
         array = make_array()
-        loose = mine_binned_rules(array, 0, 0.0, 0.0)
-        tight = mine_binned_rules(array, 0, 0.3, 0.5)
-        assert len(loose) > len(tight)
+        measures = rule_measures(array, 0)
+        loose = rule_grid(measures, 0.0, 0.0)
+        tight = rule_grid(measures, 0.3, 0.5)
+        assert loose.n_set > tight.n_set
         assert array.n_total == 11  # untouched

@@ -15,6 +15,7 @@ from repro.core.clusterer import GridClusterer, clustered_rule_from_rect
 from repro.core.grid import RuleGrid
 from repro.core.rules import GridRect
 from repro.data.schema import Table, categorical, quantitative
+from repro.mining.engine import rule_grid, rule_measures
 
 
 class TestSection33FourRules:
@@ -64,7 +65,7 @@ class TestSection33FourRules:
                            n_bins_x=10, n_bins_y=10)
         code = binner.rhs_encoding.code_of("A")
         outcome = self._clusterer().cluster(
-            binner.bin_array, code, min_support=0.01,
+            rule_measures(binner.bin_array, code), min_support=0.01,
             min_confidence=0.5,
         )
         assert outcome.n_rules == 1
@@ -81,7 +82,7 @@ class TestSection33FourRules:
                            n_bins_x=10, n_bins_y=10)
         code = binner.rhs_encoding.code_of("A")
         outcome = self._clusterer().cluster(
-            binner.bin_array, code, 0.01, 0.5
+            rule_measures(binner.bin_array, code), 0.01, 0.5
         )
         rule = outcome.rules[0]
         originals = [
@@ -121,7 +122,8 @@ class TestSection21Guarantee:
         config = ClustererConfig(smoothing=False, merge_clusters=False,
                                  prune_fraction=0.0)
         outcome = GridClusterer(config).cluster(
-            f2_binner.bin_array, code, min_support, min_confidence
+            rule_measures(f2_binner.bin_array, code), min_support,
+            min_confidence,
         )
         for rule in outcome.rules:
             assert rule.support >= min_support - 1e-12
@@ -134,10 +136,10 @@ class TestFigure1Rendering:
     structural elements."""
 
     def test_render_contains_axes_and_clusters(self, f2_binner):
-        from repro.mining.engine import rule_pairs
         from repro.viz.ascii import render_grid
         code = f2_binner.rhs_encoding.code_of("A")
-        pairs = rule_pairs(f2_binner.bin_array, code, 0.0005, 0.6)
+        pairs = rule_grid(rule_measures(f2_binner.bin_array, code),
+                          0.0005, 0.6).set_pairs()
         grid = RuleGrid.from_pairs(
             pairs, f2_binner.bin_array.n_x, f2_binner.bin_array.n_y
         )

@@ -1,9 +1,10 @@
 """Equivalence tests: vectorised hot-path kernels vs scalar references.
 
-The fast kernels (bincount binner scatter, the sampled-once verifier,
-summed-area-table smoothing, packbits row masks, bulk rule-pair
-extraction, the rule grid, integer binary smoothing, BitOp's chained
-start-row scans, the heap hull merge and the incremental BitOp cover) must
+The fast kernels (bincount binner scatter, the sampled-once verifier
+and its plain-Python report, separable window sums, word-packed row
+masks, bulk rule-pair extraction, the rule grid over rule measures
+divided once, integer binary smoothing, BitOp's chained start-row
+scans, the heap hull merge and the incremental BitOp cover) must
 produce *bit-identical* results to the straightforward scalar
 implementations kept in
 :mod:`repro.perf.reference` — including edge bins, empty inputs and
@@ -41,10 +42,11 @@ from repro.core.smoothing import (
     smooth_binary,
     window_sums,
 )
-from repro.core.verifier import Verifier
+from repro.core.verifier import Verifier, _numpy_sum
 from repro.data.perturbation import inject_outliers
 from repro.data.schema import Table, categorical, equal_mask, quantitative
-from repro.mining.engine import rule_grid, rule_pairs
+from repro.mining.engine import rule_grid, rule_measures
+from repro.obs import metrics
 from repro.perf import reference
 
 
@@ -374,31 +376,46 @@ class TestInjectOutliersEquivalence:
 
 
 class TestVerifierEquivalence:
+    """The oracle counts each repeat's sample tuple by tuple
+    (``count_repeat_errors_scalar``); the verifier's counts must give
+    the same report."""
+
     def test_counts_identical(self):
-        rng = np.random.default_rng(4)
-        covered = rng.random(2000) < 0.3
-        is_target = rng.random(2000) < 0.25
-        slow = reference.count_repeat_errors_scalar(
-            covered, is_target, 150, seed=9, repeat_ids=range(8)
+        verifier = Verifier(verification_table(2000, 4), "group", "A",
+                            sample_size=150, repeats=8, seed=9)
+        segmentation = Segmentation(
+            rules=(ClusteredRule("age", "salary", Interval(10.0, 60.0),
+                                 Interval(25.0, 90.0, closed_high=True),
+                                 "group", "A", support=0.1,
+                                 confidence=0.9),),
+            x_attribute="age", y_attribute="salary",
+            rhs_attribute="group", rhs_value="A",
         )
-        fast = reference.count_repeat_errors(
-            covered, is_target, 150, seed=9, repeat_ids=range(8)
-        )
-        assert np.array_equal(slow[0], fast[0])
-        assert np.array_equal(slow[1], fast[1])
+        report = verifier.verify(segmentation)
+        assert report == reference.verify_scalar(verifier, segmentation)
+        assert report.mean_false_positives > 0
+        assert report.mean_false_negatives > 0
 
     def test_counts_identical_for_degenerate_coverage(self):
         n = 500
-        for covered in (np.zeros(n, bool), np.ones(n, bool)):
-            is_target = np.arange(n) % 3 == 0
-            slow = reference.count_repeat_errors_scalar(
-                covered, is_target, n, seed=0, repeat_ids=range(3)
+        verifier = Verifier(verification_table(n, 0), "group", "A",
+                            sample_size=n, repeats=3, seed=0)
+        everything = Interval(-1.0, 101.0)
+        for rules in ((), (ClusteredRule("age", "salary", everything,
+                                         everything, "group", "A",
+                                         support=1.0, confidence=0.3),)):
+            segmentation = Segmentation(
+                rules=rules, x_attribute="age", y_attribute="salary",
+                rhs_attribute="group", rhs_value="A",
             )
-            fast = reference.count_repeat_errors(
-                covered, is_target, n, seed=0, repeat_ids=range(3)
-            )
-            assert np.array_equal(slow[0], fast[0])
-            assert np.array_equal(slow[1], fast[1])
+            report = verifier.verify(segmentation)
+            assert report == reference.verify_scalar(verifier,
+                                                     segmentation)
+            # Covering nothing misses every target; covering everything
+            # admits every non-target.
+            missed = (report.mean_false_negatives if not rules
+                      else report.mean_false_positives)
+            assert report.mean_errors == missed > 0
 
     def test_repeat_ids_are_position_independent(self):
         """Repeat r draws the same sample whether computed alone or in a
@@ -407,11 +424,11 @@ class TestVerifierEquivalence:
         rng = np.random.default_rng(5)
         covered = rng.random(800) < 0.5
         is_target = rng.random(800) < 0.5
-        batched = reference.count_repeat_errors(
+        batched = reference.count_repeat_errors_scalar(
             covered, is_target, 100, seed=3, repeat_ids=range(6)
         )
         for repeat in range(6):
-            alone = reference.count_repeat_errors(
+            alone = reference.count_repeat_errors_scalar(
                 covered, is_target, 100, seed=3, repeat_ids=[repeat]
             )
             assert alone[0][0] == batched[0][repeat]
@@ -483,12 +500,12 @@ def check_every_trial(monkeypatch) -> list:
     run_trial = optimizer.run_trial
     checked = []
 
-    def checked_trial(clusterer, verifier, weights, bin_array, rhs_code,
+    def checked_trial(clusterer, verifier, weights, measures,
                       *thresholds):
-        trial, outcome = run_trial(clusterer, verifier, weights, bin_array,
-                                   rhs_code, *thresholds)
+        trial, outcome = run_trial(clusterer, verifier, weights, measures,
+                                   *thresholds)
         segmentation = optimizer.segmentation_from_outcome(
-            outcome, bin_array, rhs_code
+            outcome, measures.bin_array, measures.rhs_code
         )
         assert trial.report == reference.verify_scalar(verifier,
                                                        segmentation)
@@ -632,7 +649,7 @@ class TestVerifyEquivalence:
             clamped |= ((rect.x_lo <= x_bins) & (x_bins <= rect.x_hi)
                         & (rect.y_lo <= y_bins) & (y_bins <= rect.y_hi))
         assert (clamped & ~result.segmentation.covers_table(held_out)).any()
-        fp_counts, fn_counts = reference.count_repeat_errors(
+        fp_counts, fn_counts = reference.count_repeat_errors_scalar(
             clamped, equal_mask(held_out.column("group"), "A"),
             verifier.sample_size, verifier.seed, range(verifier.repeats),
         )
@@ -701,12 +718,58 @@ class TestVerifyEquivalence:
             reference.verify_scalar(verifier, segmentation)
         )
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 400),
+           st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
+                              st.integers(0, 9), st.integers(0, 9)),
+                    max_size=5),
+           segmentations())
+    def test_report_floats_for_1_to_16_repeats(self, repeats, sample_size,
+                                                seed, corners,
+                                                segmentation):
+        """The plain-Python report equals NumPy's aggregates whether
+        NumPy sums the repeats one by one (fewer than 8) or pairwise
+        (8 and more), on the grid and in value space."""
+        verifier = Verifier(verification_table(1500, 12), "group", "A",
+                            sample_size=sample_size, repeats=repeats,
+                            seed=seed)
+        x_layout = equi_width_layout("age", 0.0, 100.0, 10)
+        y_layout = equi_width_layout("salary", 0.0, 100.0, 10)
+        rects = [GridRect(min(a, b), max(a, b), min(c, d), max(c, d))
+                 for a, b, c, d in corners]
+        bin_array = BinArray(x_layout, y_layout, CategoricalEncoding(
+            "group", ("A", "B", "other")))
+        on_grid = Segmentation(
+            rules=tuple(clusterer.clustered_rule_from_rect(rect, bin_array, 0)
+                        for rect in rects),
+            x_attribute="age", y_attribute="salary",
+            rhs_attribute="group", rhs_value="A",
+        )
+        assert verifier.verify_rects(x_layout, y_layout, rects) == (
+            reference.verify_scalar(verifier, on_grid)
+        )
+        assert verifier.verify(segmentation) == (
+            reference.verify_scalar(verifier, segmentation)
+        )
+
+
+class TestNumpySumOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=300))
+    def test_matches_numpy_sum(self, values):
+        """Sequential below 8 values, 8 interleaved partial sums up to
+        128, and split in halves beyond."""
+        assert _numpy_sum(values) == float(
+            np.sum(np.array(values, dtype=np.float64))
+        )
+
 
 class TestSmoothingEquivalence:
     @pytest.mark.parametrize("radius", [1, 2, 3])
     def test_binary_grid_bit_identical(self, radius):
-        """On 0/1 grids every partial sum is an exact integer, so the
-        summed-area table matches shift-and-add bit for bit."""
+        """On 0/1 grids every window sum is an exact integer, so the
+        separable sums match shift-and-add bit for bit."""
         rng = np.random.default_rng(6)
         grid = (rng.random((23, 31)) < 0.4).astype(np.float64)
         fast = neighbourhood_mean(grid, radius=radius)
@@ -727,6 +790,25 @@ class TestSmoothingEquivalence:
         assert np.array_equal(fast, slow)
         # Every window is the whole grid: the global mean everywhere.
         assert np.allclose(fast, grid.mean())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 3),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_grids_match_the_oracle(self, n_x, n_y, radius, density,
+                                           seed, binary):
+        """Binary grids sum in integers and match exactly; float grids
+        match to rounding, since the separable sums add in another
+        order."""
+        rng = np.random.default_rng(seed)
+        grid = rng.random((n_x, n_y))
+        if binary:
+            grid = grid < density
+        fast = neighbourhood_mean(grid, radius=radius)
+        slow = reference.neighbourhood_mean_scalar(grid, radius=radius)
+        if binary:
+            assert np.array_equal(fast, slow)
+        else:
+            assert np.allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
     def test_window_sums_counts_are_window_areas(self):
         sums, counts = window_sums(np.ones((4, 4)), radius=1)
@@ -762,6 +844,17 @@ class TestRowBitmapEquivalence:
         grid = RuleGrid(cells)
         back = RuleGrid.from_row_bitmaps(grid.row_bitmaps(), 77)
         assert np.array_equal(back.cells, cells)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 130), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_any_width(self, n_x, n_y, density, seed):
+        """Rows of one, two and three 64-bit words, with the padding of
+        the last word left clear."""
+        cells = np.random.default_rng(seed).random((n_x, n_y)) < density
+        assert RuleGrid(cells).row_bitmaps() == (
+            reference.row_bitmaps_scalar(cells)
+        )
 
     def test_from_row_bitmaps_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
@@ -886,10 +979,12 @@ class TestScorerEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Mining extraction: rule_pairs converts the qualifying cells in bulk and
-# RuleGrid.from_pairs sets them with one fancy-index assignment.  The
-# list must equal the per-cell comprehension element for element, int
-# types included, and the grid must equal the per-cell loop.
+# Mining: rule_grid compares rule measures divided once per BinArray, and
+# must equal the per-call division of ``reference.qualifying_cells``.
+# RuleGrid.set_pairs lists the cells in bulk and RuleGrid.from_pairs sets
+# them with one fancy-index assignment: the list must equal the per-cell
+# comprehension element for element, int types included, and the grid
+# must equal the per-cell loop.
 # ----------------------------------------------------------------------
 @st.composite
 def bin_arrays(draw, max_bins=12, max_tuples=400):
@@ -927,7 +1022,8 @@ class TestRulePairsEquivalence:
            st.floats(0.0, 1.0))
     def test_random_bin_arrays(self, array, rhs_code, min_support,
                                min_confidence):
-        fast = rule_pairs(array, rhs_code, min_support, min_confidence)
+        fast = rule_grid(rule_measures(array, rhs_code), min_support,
+                         min_confidence).set_pairs()
         slow = reference.rule_pairs_scalar(
             array, rhs_code, min_support, min_confidence
         )
@@ -949,7 +1045,11 @@ class TestRulePairsEquivalence:
                                                 min_confidence):
         """The grid the clusterer consumes is the grid of the per-cell
         pair list, without building the list."""
-        grid = rule_grid(array, rhs_code, min_support, min_confidence)
+        grid = rule_grid(rule_measures(array, rhs_code), min_support,
+                         min_confidence)
+        assert np.array_equal(grid.cells, reference.qualifying_cells(
+            array, rhs_code, min_support, min_confidence
+        ))
         expected = RuleGrid.from_pairs(
             reference.rule_pairs_scalar(
                 array, rhs_code, min_support, min_confidence
@@ -971,6 +1071,34 @@ class TestRulePairsEquivalence:
             grid.cells, grid_from_pairs_scalar(pairs, n_x, n_y)
         )
 
+    @pytest.mark.parametrize("n_tuples, outliers", [
+        (8_000, 0.10), (400_000, 0.0),
+    ], ids=["fit-fragmented", "fit-dense"])
+    def test_every_lattice_point_of_the_e2e_shapes(self, n_tuples,
+                                                   outliers):
+        """A search's rule grids, compared with rule measures divided
+        once, equal the per-call division at every occurring threshold
+        pair, the support levels ``c / N`` included."""
+        table = repro.generate_synthetic(repro.SyntheticConfig(
+            n_tuples=n_tuples, function_id=2, perturbation=0.05,
+            outlier_fraction=outliers, seed=0,
+        ))
+        binner = bin_table(table, "age", "salary", "group", 32, 32)
+        code = binner.rhs_encoding.code_of("A")
+        measures = rule_measures(binner.bin_array, code)
+        lattice = ThresholdLattice(binner.bin_array, code)
+        points = 0
+        for count in lattice.support_counts:
+            support = count / lattice.n_total
+            for confidence in lattice.confidences_at(count):
+                assert np.array_equal(
+                    rule_grid(measures, support, confidence).cells,
+                    reference.qualifying_cells(binner.bin_array, code,
+                                               support, confidence),
+                )
+                points += 1
+        assert points > 100
+
     def test_function2_bin_array(self):
         table = repro.generate_synthetic(repro.SyntheticConfig(
             n_tuples=8_000, function_id=2, perturbation=0.05,
@@ -978,11 +1106,12 @@ class TestRulePairsEquivalence:
         ))
         binner = bin_table(table, "age", "salary", "group", 32, 32)
         code = binner.rhs_encoding.code_of("A")
+        measures = rule_measures(binner.bin_array, code)
         for min_support in (0.0, 0.0002, 0.001):
             for min_confidence in (0.0, 0.5, 0.9):
-                assert rule_pairs(
-                    binner.bin_array, code, min_support, min_confidence
-                ) == reference.rule_pairs_scalar(
+                assert rule_grid(
+                    measures, min_support, min_confidence
+                ).set_pairs() == reference.rule_pairs_scalar(
                     binner.bin_array, code, min_support, min_confidence
                 )
 
@@ -1046,8 +1175,8 @@ def function2_grids():
         binner = bin_table(table, "age", "salary", "group", bins, bins)
         code = binner.rhs_encoding.code_of("A")
         for min_support, min_confidence in thresholds:
-            pairs = rule_pairs(binner.bin_array, code,
-                               min_support, min_confidence)
+            pairs = rule_grid(rule_measures(binner.bin_array, code),
+                              min_support, min_confidence).set_pairs()
             raw = RuleGrid.from_pairs(pairs, bins, bins)
             grids.append(smooth_binary(raw))
     assert all(grid.n_set for grid in grids)
@@ -1207,6 +1336,23 @@ class TestBitOpCoverEquivalence:
 BOUNDARY_THRESHOLDS = sorted({
     k / size for size in (4, 6, 9) for k in range(1, size + 1)
 })
+#: Every ``k / area`` of the windows of radius 1-3 (areas up to 7 x 7).
+WINDOW_THRESHOLDS = sorted({
+    k / (height * width) for height in range(1, 8)
+    for width in range(1, 8) for k in range(1, height * width + 1)
+})
+
+
+def flipped_cells_counted(grid, **options):
+    """``smooth_binary(grid, **options)`` and the ``cells_flipped`` it
+    counted."""
+    registry = metrics.MetricsRegistry()
+    previous = metrics.swap_registry(registry)
+    try:
+        smoothed = smooth_binary(grid, **options)
+    finally:
+        metrics.swap_registry(previous)
+    return smoothed, registry.counter("smoothing.cells_flipped").value
 
 
 class TestSmoothBinaryEquivalence:
@@ -1222,6 +1368,26 @@ class TestSmoothBinaryEquivalence:
         smoothed = smooth_binary(grid, threshold=threshold, passes=passes,
                                  radius=radius)
         assert np.array_equal(smoothed.cells, expected.astype(bool))
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule_grids(max_side=40),
+           st.one_of(st.sampled_from(WINDOW_THRESHOLDS),
+                     st.floats(0.0, 1.0, exclude_min=True)),
+           st.integers(0, 3), st.integers(1, 3))
+    def test_any_side_threshold_and_radius(self, grid, threshold, passes,
+                                           radius):
+        """The integer activation test equals the float mean's ``>=
+        threshold`` pass after pass, and the flip counter counts the
+        cells that changed."""
+        expected = grid.cells
+        for _ in range(passes):
+            mean = reference.neighbourhood_mean_scalar(expected, radius)
+            expected = mean >= threshold
+        smoothed, flipped = flipped_cells_counted(
+            grid, threshold=threshold, passes=passes, radius=radius
+        )
+        assert np.array_equal(smoothed.cells, expected)
+        assert flipped == np.count_nonzero(expected != grid.cells)
 
     def test_zero_passes_returns_a_copy(self):
         grid = checkerboard(5)
@@ -1336,7 +1502,7 @@ class TestTrialEquivalence:
             for confidence in lattice.coarsen_confidences(count, 4)[1:]:
                 thresholds = (count / lattice.n_total, confidence)
                 fast = clusterer.GridClusterer().cluster(
-                    binner.bin_array, code, *thresholds
+                    rule_measures(binner.bin_array, code), *thresholds
                 )
                 slow = reference.cluster_scalar(
                     binner.bin_array, code, *thresholds

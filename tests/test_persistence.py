@@ -6,7 +6,7 @@ import pytest
 from repro.binning import bin_table
 from repro.core.rules import ClusteredRule, GridRect, Interval
 from repro.core.segmentation import Segmentation
-from repro.mining.engine import rule_pairs
+from repro.mining.engine import rule_grid, rule_measures
 from repro.data.summary import ReferenceProfile, reference_profile
 from repro.persistence import (
     PersistenceError,
@@ -144,8 +144,10 @@ class TestBinArrayRoundTrip:
         path = tmp_path / "bins.npz"
         save_bin_array(f2_binner.bin_array, path)
         loaded = load_bin_array(path)
-        original_pairs = rule_pairs(f2_binner.bin_array, 0, 0.001, 0.7)
-        loaded_pairs = rule_pairs(loaded, 0, 0.001, 0.7)
+        original_pairs = rule_grid(rule_measures(f2_binner.bin_array, 0),
+                                   0.001, 0.7).set_pairs()
+        loaded_pairs = rule_grid(rule_measures(loaded, 0), 0.001,
+                                 0.7).set_pairs()
         assert original_pairs == loaded_pairs
 
     def test_layouts_survive(self, f2_binner, tmp_path):

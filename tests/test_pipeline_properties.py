@@ -11,7 +11,13 @@ from repro.binning.strategies import equi_width_layout
 from repro.core.bitop import BitOpClusterer
 from repro.core.grid import RuleGrid
 from repro.core.merging import hull_cover_fraction, merge_clusters
-from repro.mining.engine import rule_pairs
+from repro.mining.engine import rule_grid, rule_measures
+
+
+def rule_pairs(array, rhs_code, min_support, min_confidence):
+    """The engine's qualifying cells as ``(i, j)`` pairs."""
+    return rule_grid(rule_measures(array, rhs_code), min_support,
+                     min_confidence).set_pairs()
 
 
 @st.composite

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data.sampling import (
-    mean_and_stderr,
-    repeated_k_of_n,
-    sample_indices,
-)
+from repro.data.sampling import repeated_k_of_n, sample_indices
+from repro.perf.reference import mean_and_stderr
 
 
 class TestSampleIndices:
@@ -44,6 +41,9 @@ class TestRepeatedKOfN:
 
 
 class TestMeanAndStderr:
+    """The NumPy aggregate the verifier's report floats are held ``==``
+    to; it lives beside ``reference.verify_scalar``."""
+
     def test_single_value(self):
         mean, stderr = mean_and_stderr([0.25])
         assert mean == 0.25

@@ -19,6 +19,7 @@ from repro.binning.strategies import equi_width_layout
 from repro.cli import main
 from repro.data.io import write_csv
 from repro.data.schema import Table, categorical, quantitative
+from repro.mining.engine import rule_measures
 from repro.serve.registry import ModelRegistry
 from repro.stream import (
     CSVReplaySource,
@@ -515,7 +516,7 @@ class TestStreamRefitter:
         )
         scratch.add_chunk(xs, ys, codes)
         outcome = GridClusterer().cluster(
-            scratch, refitter.rhs_code, 0.002, 0.3
+            rule_measures(scratch, refitter.rhs_code), 0.002, 0.3
         )
         expected = segmentation_from_outcome(
             outcome, scratch, refitter.rhs_code
@@ -524,7 +525,8 @@ class TestStreamRefitter:
             segmentation_content_hash(
                 segmentation_from_outcome(
                     GridClusterer().cluster(
-                        window.bin_array, refitter.rhs_code, 0.002, 0.3
+                        rule_measures(window.bin_array, refitter.rhs_code),
+                        0.002, 0.3,
                     ),
                     window.bin_array, refitter.rhs_code,
                 )
