@@ -35,15 +35,16 @@ like the pairwise rescan of
 function is tested ``==`` against.
 
 The hull of two trimmed rectangles needs no trim: each of its border
-lines is a border line of one of the two, which holds a set cell.
-Each id counts its pending heap entries, and when a merge leaves more
-than half the heap stale the live entries are kept and re-heapified in
-one go.
+lines is a border line of one of the two, which holds a set cell.  At
+most ``n(n-1)/2`` heap entries can pair two of ``n`` live clusters, so
+once the heap holds more than twice that, the live entries are kept and
+re-heapified in one go.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 
 from typing import Sequence
@@ -94,7 +95,7 @@ def merge_clusters(clusters: Sequence[GridRect], grid: RuleGrid,
     # Live clusters by id, in id order, as half-open index bounds.
     live: dict[int, tuple[int, int, int, int]] = {}
     heap: list[tuple[float, int, int, int]] = []
-    pending: list[int] = []
+    ids = itertools.count()
     for rect in clusters:
         # Clipped to the grid, so an input reaching past it is trimmed
         # back into it, as slicing does.
@@ -105,31 +106,23 @@ def merge_clusters(clusters: Sequence[GridRect], grid: RuleGrid,
             continue
         if count < rect.area:
             rect = _trim_to_content(grid, rect)
-        _insert(live, heap, pending, table, cover_fraction,
+        _insert(live, heap, table, cover_fraction, next(ids),
                 rect.x_lo, rect.x_hi + 1, rect.y_lo, rect.y_hi + 1)
-    stale = 0
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        pending[i] -= 1
-        pending[j] -= 1
         if i not in live or j not in live:
-            stale -= 1
             continue
-        # An upper bound on the entries this merge makes stale: one
-        # whose other id died earlier was counted then too.
-        stale += pending[i] + pending[j]
         # The hull of two trimmed clusters needs no trim: each border
         # line is one of theirs and holds one of its set cells.
         (a, b, c, d), (e, f, g, h) = live.pop(i), live.pop(j)
-        _insert(live, heap, pending, table, cover_fraction,
+        _insert(live, heap, table, cover_fraction, next(ids),
                 min(a, e), max(b, f), min(c, g), max(d, h))
-        if 2 * stale > len(heap):
+        n = len(live)
+        if len(heap) > n * (n - 1):
             # Keys are unique, so the live entries pop in the same order.
             heap = [entry for entry in heap
                     if entry[2] in live and entry[3] in live]
             heapq.heapify(heap)
-            pending = _pending_counts(heap, len(pending))
-            stale = 0
     result = [GridRect(a, b - 1, c, d - 1) for a, b, c, d in live.values()]
     if len(result) != len(clusters):
         logger.debug(
@@ -140,18 +133,16 @@ def merge_clusters(clusters: Sequence[GridRect], grid: RuleGrid,
 
 
 def _insert(live: dict[int, tuple[int, int, int, int]],
-            heap: list[tuple[float, int, int, int]], pending: list[int],
-            table: list[list[int]], cover_fraction: float,
+            heap: list[tuple[float, int, int, int]],
+            table: list[list[int]], cover_fraction: float, new_id: int,
             a: int, b: int, c: int, d: int) -> None:
-    """Give the trimmed cluster ``[a, b) x [c, d)`` the next id, and push
-    its admissible pairs with every live cluster onto the heap.
+    """Make the trimmed cluster ``[a, b) x [c, d)`` live as ``new_id``,
+    and push its admissible pairs with every live cluster onto the heap.
 
     A hull's cover is its integer set-cell count, four lookups into the
     summed-area ``table``, over its integer area: the same correctly
     rounded float64 that :func:`hull_cover_fraction` returns.
     """
-    new_id = len(pending)
-    pending.append(0)
     for k, (e, f, g, h) in live.items():
         if a < e:
             e = a
@@ -165,19 +156,7 @@ def _insert(live: dict[int, tuple[int, int, int, int]],
         cover = (table[f][h] - table[e][h] - table[f][g] + table[e][g]) / area
         if cover >= cover_fraction:
             heapq.heappush(heap, (-cover, -area, k, new_id))
-            pending[k] += 1
-            pending[new_id] += 1
     live[new_id] = (a, b, c, d)
-
-
-def _pending_counts(heap: list[tuple[float, int, int, int]],
-                    n_ids: int) -> list[int]:
-    """How many of the heap's entries name each id."""
-    pending = [0] * n_ids
-    for _, _, i, j in heap:
-        pending[i] += 1
-        pending[j] += 1
-    return pending
 
 
 def _trim_to_content(grid: RuleGrid,

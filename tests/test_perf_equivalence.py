@@ -1250,8 +1250,9 @@ class TestMergeEquivalence:
 
     @pytest.mark.parametrize("cover_fraction, bound_mib", [
         # Nearly every pair is admissible: the heap is the peak.  With
-        # stale entries dropped in bulk it peaks at 22.4 MiB on 64-bit
-        # CPython 3.11 (38.6 MiB without); the bound is 10% over the
+        # the heap compacted once it holds over n(n-1) entries for n
+        # live clusters, it peaks at 23.2 MiB on 64-bit CPython 3.11
+        # (38.6 MiB with no compaction); the bound is 10% over the
         # 26.4 MiB it peaked at when the first pairs were scored in
         # numpy.
         (0.5, 1.1 * 26.4),
