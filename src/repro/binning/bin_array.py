@@ -96,16 +96,15 @@ class BinArray:
             ("y_bins", y_bins, self.n_y),
             ("rhs_codes", rhs_codes, self.rhs_encoding.cardinality),
         ):
-            if len(values) == 0:
+            # One pass: viewed unsigned, a negative index is huge.
+            if len(values) == 0 or values.view(np.uint64).max() < bound:
                 continue
             low = int(values.min())
-            high = int(values.max())
-            if low < 0 or high >= bound:
-                bad = low if low < 0 else high
-                raise ValueError(
-                    f"{label} contains index {bad}, outside the valid "
-                    f"range [0, {bound})"
-                )
+            bad = low if low < 0 else int(values.max())
+            raise ValueError(
+                f"{label} contains index {bad}, outside the valid "
+                f"range [0, {bound})"
+            )
 
     def add_chunk(self, x_bins: np.ndarray, y_bins: np.ndarray,
                   rhs_codes: np.ndarray) -> None:
