@@ -96,6 +96,7 @@ SIZES = {
     "smoothing": (400_000, 40_000),
     "bitop_masks": (512, 160),
     "scorer": (100_000, 20_000),
+    "scorer_point": (1_000, 1_000),
     "incremental": (100_000, 20_000),
     "merge": (24, 24),
     "bitop_cover": (48, 32),
@@ -282,13 +283,8 @@ def bench_bitop_masks(n: int, trials: int) -> dict:
     }
 
 
-def bench_scorer(n: int, trials: int) -> dict:
-    """Score n tuples against a 24-rule segmentation: per-rule interval
-    loop vs the compiled position-table lookup.
-
-    Compilation happens outside the timed region — the serving path
-    compiles once per model load and scores per request.
-    """
+def _scorer_case(n: int):
+    """A 24-rule segmentation, its compiled scorer and n query points."""
     rng = np.random.default_rng(505)
     rules = []
     for index in range(24):
@@ -304,7 +300,18 @@ def bench_scorer(n: int, trials: int) -> dict:
     segmentation = Segmentation.from_rules(rules)
     x_values = rng.uniform(-5.0, 105.0, n)
     y_values = rng.uniform(-5.0, 105.0, n)
-    scorer = compile_scorer(segmentation)
+    return segmentation, compile_scorer(segmentation), x_values, y_values
+
+
+def bench_scorer(n: int, trials: int) -> dict:
+    """Score n tuples against a 24-rule segmentation: per-rule interval
+    loop vs the compiled position-table lookup (``score_batch``, the
+    ``/predict_batch`` path).
+
+    Compilation happens outside the timed region — the serving path
+    compiles once per model load and scores per request.
+    """
+    segmentation, scorer, x_values, y_values = _scorer_case(n)
 
     def scalar():
         return reference.score_batch_scalar(
@@ -314,14 +321,6 @@ def bench_scorer(n: int, trials: int) -> dict:
     def vectorized():
         return scorer.score_batch(x_values, y_values)
 
-    def scalar_one():
-        return reference.score_batch_scalar(
-            segmentation, x_values[:1], y_values[:1]
-        )
-
-    def vectorized_one():
-        return scorer.score_batch(x_values[:1], y_values[:1])
-
     assert np.array_equal(scalar(), vectorized()), "scorer kernels differ"
     return {
         "name": "scorer",
@@ -329,12 +328,37 @@ def bench_scorer(n: int, trials: int) -> dict:
         "unit": "tuples",
         "scalar_seconds": best_of(scalar, trials=trials),
         "vectorized_seconds": best_of(vectorized, trials=trials),
-        # A /predict scores one point: reported, not budgeted.
-        "one_point_scalar_seconds": best_of(scalar_one, trials=trials,
-                                            number=1000),
-        "one_point_vectorized_seconds": best_of(vectorized_one,
-                                                trials=trials,
-                                                number=1000),
+    }
+
+
+def bench_scorer_point(n: int, trials: int) -> dict:
+    """Score one point, as ``/predict`` does: the per-rule loop on a
+    one-point batch vs ``CompiledScorer.score`` (bisect over the edge
+    lists, one table read).  Each timed call scores the first of n
+    points; all n are checked against the oracle first.
+    """
+    segmentation, scorer, x_values, y_values = _scorer_case(n)
+    points = list(zip(x_values.tolist(), y_values.tolist()))
+    assert [scorer.score(x, y) for x, y in points] == (
+        reference.score_batch_scalar(segmentation, x_values,
+                                     y_values).tolist()
+    ), "one-point scorers differ"
+    x, y = points[0]
+    x_one, y_one = x_values[:1], y_values[:1]
+
+    def scalar():
+        return reference.score_batch_scalar(segmentation, x_one, y_one)
+
+    def vectorized():
+        return scorer.score(x, y)
+
+    return {
+        "name": "scorer_point",
+        "n": 1,
+        "unit": "tuples",
+        "scalar_seconds": best_of(scalar, trials=trials, number=1000),
+        "vectorized_seconds": best_of(vectorized, trials=trials,
+                                      number=1000),
     }
 
 
@@ -561,6 +585,7 @@ BENCHMARKS = {
     "smoothing": bench_smoothing,
     "bitop_masks": bench_bitop_masks,
     "scorer": bench_scorer,
+    "scorer_point": bench_scorer_point,
     "incremental": bench_incremental,
     "merge": bench_merge,
     "bitop_cover": bench_bitop_cover,
@@ -607,6 +632,11 @@ def apply_ceiling(result: dict, gate: dict | None) -> dict:
     return result
 
 
+def _seconds(value: float) -> str:
+    """Seconds to 4 places, or microseconds below a millisecond."""
+    return f"{value:.4f}s" if value >= 1e-3 else f"{value * 1e6:.1f}us"
+
+
 def render(results: list[dict]) -> str:
     header = (
         f"{'benchmark':<12} {'n':>8} {'scalar':>12} {'vectorized':>12} "
@@ -617,19 +647,12 @@ def render(results: list[dict]) -> str:
         budget = result.get("budget_min_speedup")
         lines.append(
             f"{result['name']:<12} {result['n']:>8} "
-            f"{result['scalar_seconds']:>11.4f}s "
-            f"{result['vectorized_seconds']:>11.4f}s "
+            f"{_seconds(result['scalar_seconds']):>12} "
+            f"{_seconds(result['vectorized_seconds']):>12} "
             f"{result['speedup']:>8.1f}x "
             f"{('%.1fx' % budget) if budget else '-':>8} "
             f"{result['status']:>9}"
         )
-        if "one_point_vectorized_seconds" in result:
-            lines.append(
-                f"{'  1 point':<12} {1:>8} "
-                f"{result['one_point_scalar_seconds'] * 1e6:>11.1f}us"
-                f"{result['one_point_vectorized_seconds'] * 1e6:>11.1f}us"
-                f" {'(reported, not budgeted)':>28}"
-            )
     return "\n".join(lines)
 
 

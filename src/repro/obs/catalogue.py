@@ -78,7 +78,7 @@ METRICS: dict[str, tuple[str, str]] = {
          'clusters surviving pruning'),
     'serve.batch_size':
         ('histogram',
-         'tuples per `score_batch` call'),
+         'tuples per `score` (1) or `score_batch` call'),
     'serve.compile_seconds':
         ('histogram',
          'wall-clock per scorer compilation'),
@@ -120,7 +120,7 @@ METRICS: dict[str, tuple[str, str]] = {
          'requests shed with HTTP 429 at the in-flight scoring bound, labeled by endpoint'),
     'serve.tuples_scored':
         ('counter',
-         'tuples scored by `CompiledScorer.score_batch`'),
+         'tuples scored by `CompiledScorer.score` and `score_batch`'),
     'serve.worker_restarts':
         ('counter',
          'dead scoring workers restarted by the parent watchdog'),

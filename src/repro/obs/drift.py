@@ -180,6 +180,21 @@ class TrafficWindow:
         self.out_of_range_x += int(out_of_range_x)
         self.out_of_range_y += int(out_of_range_y)
 
+    def add_point(self, x_bin: int | None, y_bin: int | None,
+                  rule_index: int, out_of_range_x: int = 0,
+                  out_of_range_y: int = 0) -> None:
+        """:meth:`add` for a one-point request, by scalar indexing."""
+        self.requests += 1
+        self.points += 1
+        self.rule_hits[min(max(rule_index, -1), self.n_rules - 1) + 1] += 1
+        if not self.has_grid or x_bin is None or y_bin is None:
+            return
+        self.x_counts[x_bin] += 1
+        self.y_counts[y_bin] += 1
+        self.totals[x_bin, y_bin] += 1
+        self.out_of_range_x += out_of_range_x
+        self.out_of_range_y += out_of_range_y
+
     @property
     def fallback_points(self) -> int:
         """Points that fell outside every rectangle (no-rule fallback)."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from bisect import bisect_right
 from collections import deque
 from time import perf_counter
 
@@ -102,9 +103,13 @@ class TrafficMonitor:
             self._x_layout = BinLayout(x_attribute, reference.x_edges)
             self._y_layout = BinLayout(y_attribute, reference.y_edges)
             self._n_x, self._n_y = reference.n_x, reference.n_y
+            # The edges as Python floats, for record_point.
+            self._x_edge_list = reference.x_edges.tolist()
+            self._y_edge_list = reference.y_edges.tolist()
         else:  # old artefact without a reference: coverage only
             self._x_layout = self._y_layout = None
             self._n_x = self._n_y = 0
+            self._x_edge_list = self._y_edge_list = None
         self._lock = threading.Lock()
         self._ring: deque[TrafficWindow] = deque(maxlen=self.window_count)
         self._current = TrafficWindow(
@@ -145,19 +150,48 @@ class TrafficMonitor:
             x_bins = self._x_layout.assign(x)
             y_bins = self._y_layout.assign(y)
         now = self._clock()
-        rotated = False
         with self._lock:
-            if now - self._current.opened >= self.window_seconds:
-                self._ring.append(self._current)
-                self._current = TrafficWindow(
-                    self._n_x, self._n_y, self.n_rules, opened=now
-                )
-                rotated = True
+            rotated = self._rotate_if_due(now)
             self._current.add(x_bins, y_bins, rule_indices, out_x, out_y)
         if rotated:
             # Refresh gauges and alert state at the window boundary so
             # metrics-only consumers see drift move without /stats.
             self.stats()
+
+    def record_point(self, x: float, y: float, rule_index: int) -> None:
+        """:meth:`record` for a one-point request, in plain Python.
+
+        The bin is ``bisect_right(edges, v) - 1`` clipped to the grid,
+        which is what :meth:`BinLayout.assign` computes, and the range
+        escape is two comparisons; the window is counted into by
+        :meth:`TrafficWindow.add_point`.  It leaves the same state as
+        ``record([x], [y], [rule_index])``.
+        """
+        x_bin = y_bin = None
+        out_x = out_y = 0
+        x_edges, y_edges = self._x_edge_list, self._y_edge_list
+        if x_edges is not None:
+            out_x = 1 if x < x_edges[0] or x > x_edges[-1] else 0
+            out_y = 1 if y < y_edges[0] or y > y_edges[-1] else 0
+            x_bin = min(max(bisect_right(x_edges, x) - 1, 0), self._n_x - 1)
+            y_bin = min(max(bisect_right(y_edges, y) - 1, 0), self._n_y - 1)
+        now = self._clock()
+        with self._lock:
+            rotated = self._rotate_if_due(now)
+            self._current.add_point(x_bin, y_bin, rule_index, out_x, out_y)
+        if rotated:
+            self.stats()
+
+    def _rotate_if_due(self, now: float) -> bool:
+        """Close an expired current window into the ring (under
+        ``self._lock``); whether it did."""
+        if now - self._current.opened < self.window_seconds:
+            return False
+        self._ring.append(self._current)
+        self._current = TrafficWindow(
+            self._n_x, self._n_y, self.n_rules, opened=now
+        )
+        return True
 
     # ------------------------------------------------------------------
     # Reading (/stats path)
@@ -170,11 +204,7 @@ class TrafficMonitor:
         """
         now = self._clock()
         with self._lock:
-            if now - self._current.opened >= self.window_seconds:
-                self._ring.append(self._current)
-                self._current = TrafficWindow(
-                    self._n_x, self._n_y, self.n_rules, opened=now
-                )
+            self._rotate_if_due(now)
             current = self._current.copy()
             retained = [window.copy() for window in self._ring]
         recent = TrafficWindow.merged(retained + [current])

@@ -5,8 +5,7 @@ axis-aligned value-space rectangles.  Answering "which segment is this
 tuple in?" by testing every rule per request is fine for one query but
 wasteful for serving: the rectangles never change between queries, so
 the rule set can be *compiled* once into a dense lookup table and every
-prediction becomes two ``searchsorted`` calls per axis plus one 2-D
-gather.
+prediction becomes two binary searches per axis plus one table read.
 
 The compilation gives interval closedness exactly the semantics of
 :attr:`~repro.core.rules.Interval.closed_high`: every distinct interval
@@ -20,7 +19,11 @@ the **open cells** around it.  For ``m`` distinct x-endpoints there are
 
 A value's position is ``searchsorted(edges, v, "left") +
 searchsorted(edges, v, "right") - 1``: the two sides differ by one
-exactly when ``v`` is an edge.  A value below ``edges[0]`` gives
+exactly when ``v`` is an edge.  One point (``/predict``, ``/explain``)
+takes the same sum from :func:`bisect.bisect_left` and
+:func:`bisect.bisect_right` over the edges held as Python lists and
+reads the table with ``table.item``, so no array is built for it; a
+batch uses ``searchsorted``.  A value below ``edges[0]`` gives
 ``-1``, which as an index picks the last (padding) position ``2m``.
 Within an open cell no interval starts or ends, so whether a rule
 covers the cell is decided by edge comparisons alone — no
@@ -42,7 +45,9 @@ perf budget.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from math import isnan
 from time import perf_counter
 
 import numpy as np
@@ -99,6 +104,11 @@ def _position_cover(edges: np.ndarray,
     return cover
 
 
+def _nan_message(attribute: str) -> str:
+    return (f"column {attribute!r} contains NaN; clean the data "
+            "before scoring")
+
+
 def _positions(edges: np.ndarray, values: np.ndarray,
                attribute: str) -> np.ndarray:
     """Map values to position indices (see the module docstring).
@@ -113,10 +123,7 @@ def _positions(edges: np.ndarray, values: np.ndarray,
     """
     values = np.asarray(values, dtype=np.float64)
     if np.isnan(values).any():
-        raise ScoringError(
-            f"column {attribute!r} contains NaN; clean the data "
-            "before scoring"
-        )
+        raise ScoringError(_nan_message(attribute))
     return (np.searchsorted(edges, values, "left")
             + np.searchsorted(edges, values, "right") - 1)
 
@@ -133,6 +140,13 @@ class CompiledScorer:
     x_edges: np.ndarray
     y_edges: np.ndarray
     table: np.ndarray  # (2m+1, 2n+1) int32 of first-rule indices, -1 none
+    # The edges as Python floats, for the one-point path.
+    x_edge_list: list[float] = field(init=False, repr=False)
+    y_edge_list: list[float] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_edge_list", self.x_edges.tolist())
+        object.__setattr__(self, "y_edge_list", self.y_edges.tolist())
 
     @property
     def n_rules(self) -> int:
@@ -142,7 +156,8 @@ class CompiledScorer:
         """First-matching-rule index per point (``-1`` = no rule).
 
         Vectorised: two ``searchsorted`` calls per axis and one gather,
-        O(log m) per tuple with tiny constants — the serving hot path.
+        O(log m) per tuple with tiny constants — the ``/predict_batch``
+        path.  One point goes through :meth:`score` instead.
         """
         x_positions = _positions(
             self.x_edges, x_values, self.segmentation.x_attribute
@@ -161,11 +176,26 @@ class CompiledScorer:
         return result
 
     def score(self, x: float, y: float) -> int:
-        """Single-tuple prediction: the rule index or ``-1``."""
-        return int(self.score_batch(
-            np.asarray([x], dtype=np.float64),
-            np.asarray([y], dtype=np.float64),
-        )[0])
+        """Single-tuple prediction: the rule index or ``-1``.
+
+        :meth:`score_batch` on one point, in plain Python: the position
+        is ``bisect_left + bisect_right - 1`` over the edge lists, and
+        the table is read with ``item``.  NaN is rejected with the same
+        message, and the same metrics are recorded.
+        """
+        x, y = float(x), float(y)
+        if isnan(x):
+            raise ScoringError(_nan_message(self.segmentation.x_attribute))
+        if isnan(y):
+            raise ScoringError(_nan_message(self.segmentation.y_attribute))
+        x_edges, y_edges = self.x_edge_list, self.y_edge_list
+        index = self.table.item(
+            bisect_left(x_edges, x) + bisect_right(x_edges, x) - 1,
+            bisect_left(y_edges, y) + bisect_right(y_edges, y) - 1,
+        )
+        metrics.inc("serve.tuples_scored", 1)
+        metrics.observe("serve.batch_size", 1)
+        return index
 
     def in_segment(self, x_values, y_values) -> np.ndarray:
         """Boolean membership — ``Segmentation.covers``, compiled."""

@@ -54,10 +54,10 @@ from __future__ import annotations
 import json
 import logging
 import os
+import random
 import re
 import threading
 import time
-import uuid
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
@@ -108,13 +108,17 @@ _REQUEST_ID_RE = re.compile(r"\A[A-Za-z0-9][A-Za-z0-9._-]{0,63}\Z")
 def _request_id_for(inbound: str | None) -> str:
     """The request id to use: a sane client-supplied one, else fresh.
 
-    Ids are random (uuid4), not derived from the request: serving sits
-    outside the pipeline's determinism boundary, and collision-free
-    uniqueness across N workers is the property correlation needs.
+    A fresh id is 64 random bits as 16 hex digits, drawn from the
+    stdlib :mod:`random` generator, which is several times cheaper
+    than ``uuid4`` per request.  Ids are random, not derived from the
+    request: serving sits outside the pipeline's determinism boundary,
+    and uniqueness across N workers is the property correlation needs.
+    The stdlib reseeds :mod:`random` in every forked child, so pre-fork
+    workers do not draw the same sequence.
     """
     if inbound and _REQUEST_ID_RE.match(inbound):
         return inbound
-    return uuid.uuid4().hex[:16]
+    return f"{random.getrandbits(64):016x}"
 
 
 class ServiceError(Exception):
@@ -408,7 +412,7 @@ class PredictionService:
         model = self._resolve(payload)
         x, y = _number(payload, "x"), _number(payload, "y")
         index = self._score_one(model, x, y, "predict")
-        self._record_traffic(model, (x,), (y,), (index,))
+        self._record_point(model, x, y, index)
         return self._prediction(model, index)
 
     @staticmethod
@@ -446,7 +450,7 @@ class PredictionService:
         model = self._resolve(payload)
         x, y = _number(payload, "x"), _number(payload, "y")
         index = self._score_one(model, x, y, "explain")
-        self._record_traffic(model, (x,), (y,), (index,))
+        self._record_point(model, x, y, index)
         response = self._prediction(model, index)
         if index >= 0:
             rule = model.segmentation.rules[index]
@@ -466,24 +470,25 @@ class PredictionService:
 
     def _score_one(self, model: ServedModel, x: float, y: float,
                    endpoint: str) -> int:
-        indices = self._score_arrays(
-            model,
-            np.asarray([x], dtype=np.float64),
-            np.asarray([y], dtype=np.float64),
-            endpoint,
-        )
-        return int(indices[0])
+        """Score one point in plain Python (:meth:`CompiledScorer.score`)."""
+        return self._bounded(model, endpoint,
+                             self.scorer_for(model).score, x, y)
 
     def _score_arrays(self, model: ServedModel, x_values: np.ndarray,
                       y_values: np.ndarray,
                       endpoint: str) -> np.ndarray:
-        """Score a batch inline under the in-flight bound.
+        """Score a batch (:meth:`CompiledScorer.score_batch`)."""
+        return self._bounded(model, endpoint,
+                             self.scorer_for(model).score_batch,
+                             x_values, y_values)
+
+    def _bounded(self, model: ServedModel, endpoint: str, score, *args):
+        """Run one scoring call inline under the in-flight bound.
 
         Invalid input maps to 400; a call beyond :data:`MAX_IN_FLIGHT`
         concurrent ones is shed with 429 (counted in
         ``serve.shed_total{endpoint}``).
         """
-        scorer = self.scorer_for(model)
         if not self._in_flight.acquire(blocking=False):
             metrics.inc("serve.shed_total", labels={"endpoint": endpoint})
             events.emit("shed", endpoint=endpoint, model=model.name)
@@ -492,7 +497,7 @@ class PredictionService:
                      "in-flight scoring calls"
             )
         try:
-            return scorer.score_batch(x_values, y_values)
+            return score(*args)
         except ScoringError as error:  # NaN input
             raise ServiceError(400, str(error)) from None
         finally:
@@ -500,7 +505,7 @@ class PredictionService:
 
     def _record_traffic(self, model: ServedModel, x_values, y_values,
                         rule_indices) -> None:
-        """Feed a scored request to the model's traffic monitor.
+        """Feed a scored batch to the model's traffic monitor.
 
         Monitoring is bookkeeping: a failure here is logged and
         swallowed so it can never turn a served prediction into a 500.
@@ -509,6 +514,16 @@ class PredictionService:
             self.monitors.for_model(model).record(
                 x_values, y_values, rule_indices
             )
+        except Exception:
+            logger.exception(
+                "traffic monitor recording failed for %s", model.name
+            )
+
+    def _record_point(self, model: ServedModel, x: float, y: float,
+                      rule_index: int) -> None:
+        """:meth:`_record_traffic` for one point, in plain Python."""
+        try:
+            self.monitors.for_model(model).record_point(x, y, rule_index)
         except Exception:
             logger.exception(
                 "traffic monitor recording failed for %s", model.name
@@ -898,7 +913,10 @@ class PredictionHandler(BaseHTTPRequestHandler):
 
     def log_message(self, format: str, *args) -> None:
         # BaseHTTPRequestHandler prints to stderr; route through the
-        # library's logging convention instead.
+        # library's logging convention instead, and build the line only
+        # when INFO is on.
+        if not logger.isEnabledFor(logging.INFO):
+            return
         logger.info("%s %s", self.address_string(), format % args)
 
 

@@ -35,6 +35,7 @@ from repro.serve import (
     compile_scorer,
     create_server,
 )
+from repro.serve.scorer import ScoringError
 from repro.serve.service import REQUEST_ID_HEADER, PredictionHandler
 
 #: What ``json.loads`` makes of a 400-digit integer literal: beyond float64.
@@ -128,6 +129,18 @@ class TestCompiledScorer:
             scorer.score_batch(np.array([np.nan]), np.array([1.0]))
         with pytest.raises(ValueError, match="salary"):
             scorer.score_batch(np.array([1.0]), np.array([np.nan]))
+
+    @pytest.mark.parametrize("x, y", [
+        (np.nan, 1.0), (1.0, np.nan), (np.nan, np.nan),
+    ])
+    def test_one_point_rejects_nan_as_the_batch_does(self, segmentation,
+                                                     x, y):
+        scorer = compile_scorer(segmentation)
+        with pytest.raises(ScoringError) as batch:
+            scorer.score_batch(np.array([x]), np.array([y]))
+        with pytest.raises(ScoringError) as one:
+            scorer.score(x, y)
+        assert str(one.value) == str(batch.value)
 
     def test_rejects_mismatched_batches(self, segmentation):
         scorer = compile_scorer(segmentation)
@@ -360,6 +373,24 @@ class TestPredictionService:
         with pytest.raises(ServiceError) as exc:
             service.predict_batch(payload)
         assert exc.value.status == 400
+
+    @pytest.mark.parametrize("endpoint", ["predict", "explain"])
+    @pytest.mark.parametrize("x, y", [
+        (float("nan"), 60_000.0), (25.0, float("nan")),
+    ])
+    def test_nan_point_gets_the_batch_400_body(self, service, endpoint,
+                                               x, y):
+        status, body = service.dispatch(
+            endpoint, {"model": "groupA", "x": x, "y": y}
+        )
+        batch_status, batch_body = service.dispatch(
+            "predict_batch", {"model": "groupA", "x": [x], "y": [y]}
+        )
+        assert status == batch_status == 400
+        assert body == batch_body
+        column = "age" if x != x else "salary"
+        assert body["error"] == (f"column {column!r} contains NaN; "
+                                 "clean the data before scoring")
 
     def test_dispatch_maps_errors_to_statuses(self, service):
         status, body = service.dispatch("predict", {"model": "ghost",
@@ -1450,6 +1481,11 @@ class TestGracefulDrain:
                 assert release.wait(30.0), "drain test never released"
                 return self.scorer.score_batch(x_values, y_values)
 
+            def score(self, x, y):
+                entered.set()
+                assert release.wait(30.0), "drain test never released"
+                return self.scorer.score(x, y)
+
         service.scorer_for = lambda model: SlowScorer(direct(model))
         results = []
         inflight = threading.Thread(target=lambda: results.append(
@@ -1586,6 +1622,11 @@ class TestLoadShedding:
                 entered.set()
                 assert release.wait(30.0), "shed test never released"
                 return self.scorer.score_batch(x_values, y_values)
+
+            def score(self, x, y):
+                entered.set()
+                assert release.wait(30.0), "shed test never released"
+                return self.scorer.score(x, y)
 
         server.service.scorer_for = (
             lambda model: BlockingScorer(direct(model))
