@@ -538,10 +538,13 @@ def bench_fit(n: int, trials: int) -> dict:
     seconds, and the split of one traced fit by stage.
 
     Each stage's seconds are the summed self time of the spans that
-    carry its name in the fit's :class:`~repro.obs.report.RunReport`;
-    its share is over the traced fit's total, and ``other`` is what no
-    listed stage's span covers (the search loop, the lattice, the
-    winner's rules).
+    carry its name in the fit's :class:`~repro.obs.report.RunReport`
+    (:meth:`~repro.obs.report.RunReport.self_seconds`, never below
+    zero), and ``other`` is the self time of every other span (the
+    search loop, the lattice, the winner's rules).  The search helper's
+    trial spans are in the report too, and they ran beside the fit
+    process's own, so shares are over the summed self time of all
+    spans, not over the traced fit's wall-clock total.
     """
     table = repro.generate_synthetic(repro.SyntheticConfig(
         n_tuples=n, function_id=2, perturbation=0.05, seed=909,
@@ -558,23 +561,24 @@ def bench_fit(n: int, trials: int) -> dict:
     finally:
         obs.disable()
     assert traced.history == untraced.history, "traced fit differs"
-    root = traced.run_report.span_tree()
-    stage_seconds = dict.fromkeys(FIT_STAGES, 0.0)
-    for _, span in root.walk():
-        if span.name in stage_seconds:
-            stage_seconds[span.name] += span.self_seconds
-    total = root.duration
-    stage_seconds["other"] = max(0.0, total - sum(stage_seconds.values()))
+    self_seconds = traced.run_report.self_seconds()
+    stage_seconds = {stage: self_seconds.get(stage, 0.0)
+                     for stage in FIT_STAGES}
+    stage_seconds["other"] = sum(
+        value for name, value in self_seconds.items()
+        if name not in stage_seconds
+    )
+    busy = sum(stage_seconds.values())
     return {
         "name": "fit",
         "n": n,
         "unit": "tuples",
         "seconds": seconds,
         "trials": len(untraced.history),
-        "traced_seconds": total,
+        "traced_seconds": traced.run_report.duration_seconds,
         "stage_seconds": stage_seconds,
         "stage_shares": {
-            stage: value / total for stage, value in stage_seconds.items()
+            stage: value / busy for stage, value in stage_seconds.items()
         },
     }
 

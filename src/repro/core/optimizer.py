@@ -22,7 +22,10 @@ Because the engine re-mines from rule measures divided once per search
 (:func:`~repro.mining.engine.rule_measures`) and the verifier scores the
 kept rectangles on its samples' grid cells, each trial costs grid-sized
 work, not data passes; only the winner's rectangles are translated into
-value-space rules.
+value-space rules.  Where the process can use one, a persistent forked
+helper runs half of each support level's trials
+(:mod:`repro.core.search_helper`); the level is consumed in lattice
+order, so every result is the serial loop's.
 """
 
 from __future__ import annotations
@@ -36,11 +39,13 @@ import numpy as np
 
 from repro.core.segmentation import Segmentation
 from repro.binning.bin_array import BinArray
+from repro.core import search_helper
 from repro.core.clusterer import ClusteringOutcome, GridClusterer
 from repro.core.mdl import MDLWeights
-from repro.core.verifier import VerificationReport, Verifier
+from repro.core.verifier import SampleCells, VerificationReport, Verifier
 from repro.mining.engine import RuleMeasures, rule_measures
 from repro.obs import metrics, trace
+from repro.obs.tracing import current_span
 from repro.obs.report import RunCapture, RunReport
 
 logger = logging.getLogger(__name__)
@@ -240,10 +245,34 @@ class HeuristicOptimizer:
             else time.monotonic() + self.config.time_budget_seconds
         )
         measures = rule_measures(bin_array, rhs_code)
+        helper = None if deadline is not None else search_helper.acquire(
+            bin_array.n_x * bin_array.n_y
+        )
+        if helper is None:
+            return self._walk(supports, lattice, measures, deadline, None)
+        try:
+            helper.begin(measures, self.clusterer, self.weights,
+                         self.verifier.sample_cells(bin_array.x_layout,
+                                                    bin_array.y_layout))
+            result = self._walk(supports, lattice, measures, deadline,
+                                helper)
+            span = current_span()
+            if span is not None:
+                span.set("helper_trials", helper.remote_trials)
+            return result
+        finally:
+            helper.release()
 
+    def _walk(self, supports: list[float], lattice: ThresholdLattice,
+              measures: RuleMeasures, deadline: float | None,
+              helper) -> OptimizerResult:
+        """The search loop.  With a ``helper`` each level's trials run
+        in two processes, and the level is consumed in lattice order
+        once both halves are in (:mod:`repro.core.search_helper`)."""
         history: list[TrialRecord] = []
         best: TrialRecord | None = None
-        best_outcome: ClusteringOutcome | None = None
+        best_outcome: (ClusteringOutcome | search_helper.RemoteOutcome
+                       | None) = None
         stale_levels = 0
         stopped_by = "exhausted"
 
@@ -255,20 +284,16 @@ class HeuristicOptimizer:
             confidences = lattice.coarsen_confidences(
                 support_count, self.config.max_confidence_levels
             )
+
+            def run_local(confidence: float):
+                return timed_trial(self.clusterer, self.verifier,
+                                   self.weights, measures, support,
+                                   confidence)
+
+            level = (map(run_local, confidences) if helper is None
+                     else helper.level(support, confidences, run_local))
             level_improved = False
-            for confidence in confidences:
-                metrics.inc("optimizer.trials")
-                trial_start = time.perf_counter()
-                with trace("optimizer.trial", min_support=support,
-                           min_confidence=confidence) as span:
-                    trial, outcome = run_trial(
-                        self.clusterer, self.verifier, self.weights,
-                        measures, support, confidence,
-                    )
-                    span.set("n_clusters", trial.n_clusters)
-                    span.set("mdl_cost", trial.mdl_cost)
-                metrics.observe("optimizer.trial_seconds",
-                                time.perf_counter() - trial_start)
+            for trial, outcome in level:
                 logger.debug("trial %s", trial)
                 history.append(trial)
                 if self.on_trial is not None:
@@ -290,6 +315,10 @@ class HeuristicOptimizer:
 
         if best is None or best_outcome is None:
             raise ValueError("optimizer made no trials")
+        if isinstance(best_outcome, search_helper.RemoteOutcome):
+            best_outcome = self._remote_outcome(helper, best_outcome, best,
+                                                measures)
+        bin_array, rhs_code = measures.bin_array, measures.rhs_code
         result = OptimizerResult(
             best=best,
             segmentation=segmentation_from_outcome(
@@ -307,17 +336,62 @@ class HeuristicOptimizer:
         )
         return result
 
+    def _remote_outcome(self, helper, remote: search_helper.RemoteOutcome,
+                        best: TrialRecord,
+                        measures: RuleMeasures) -> ClusteringOutcome:
+        """The winning helper trial's clustering outcome: fetched from
+        the helper, or clustered again here when the helper is gone."""
+        parts = helper.outcome(remote)
+        if parts is None:
+            return self.clusterer.cluster(measures, best.min_support,
+                                          best.min_confidence)
+        raw_grid, smoothed_grid, clusters, pruning = parts
+        return ClusteringOutcome(
+            raw_grid=raw_grid,
+            smoothed_grid=smoothed_grid,
+            clusters=clusters,
+            pruning=pruning,
+            bin_array=measures.bin_array,
+            rhs_code=measures.rhs_code,
+        )
+
+
+def timed_trial(
+    clusterer: GridClusterer, verifier: Verifier | SampleCells,
+    weights: MDLWeights, measures: RuleMeasures, min_support: float,
+    min_confidence: float,
+) -> tuple[TrialRecord, ClusteringOutcome]:
+    """:func:`run_trial` counted in ``optimizer.trials`` and
+    ``optimizer.trial_seconds`` under an ``optimizer.trial`` span: one
+    trial of a search, in the fit process or in the search helper."""
+    metrics.inc("optimizer.trials")
+    trial_start = time.perf_counter()
+    with trace("optimizer.trial", min_support=min_support,
+               min_confidence=min_confidence) as span:
+        trial, outcome = run_trial(
+            clusterer, verifier, weights, measures, min_support,
+            min_confidence,
+        )
+        span.set("n_clusters", trial.n_clusters)
+        span.set("mdl_cost", trial.mdl_cost)
+    metrics.observe("optimizer.trial_seconds",
+                    time.perf_counter() - trial_start)
+    return trial, outcome
+
 
 def run_trial(
-    clusterer: GridClusterer, verifier: Verifier, weights: MDLWeights,
-    measures: RuleMeasures, min_support: float, min_confidence: float,
+    clusterer: GridClusterer, verifier: Verifier | SampleCells,
+    weights: MDLWeights, measures: RuleMeasures, min_support: float,
+    min_confidence: float,
 ) -> tuple[TrialRecord, ClusteringOutcome]:
     """One threshold pair through cluster → verify → MDL.
 
     ``measures`` are the search's rule measures, built once for all its
     trials.  The kept rectangles are verified on the grid
-    (:meth:`Verifier.verify_rects`); no value-space rule is built, so
-    a search pays for rules only when it reads the winner's.
+    (:meth:`Verifier.verify_rects`, or the same method of the
+    verifier's :class:`~repro.core.verifier.SampleCells` for the
+    measures' layouts); no value-space rule is built, so a search pays
+    for rules only when it reads the winner's.
     """
     outcome = clusterer.cluster(measures, min_support, min_confidence)
     kept = outcome.pruning.kept

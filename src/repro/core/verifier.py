@@ -78,6 +78,41 @@ class VerificationReport:
         return self.mean_false_positives + self.mean_false_negatives
 
 
+@dataclass(frozen=True, eq=False)
+class SampleCells:
+    """A verifier's samples counted per exact cell of one pair of bin
+    layouts: all :meth:`verify_rects` reads, and no table.
+
+    ``counts`` is ``(2 * repeats, n_x * n_y + 1)``: per exact cell, with
+    the outside slot last, each repeat's non-target sample counts and
+    then each repeat's target ones; ``target_totals`` lists each
+    repeat's target samples.  It is grid-sized and picklable, so a
+    threshold search can hand it to another process.
+    """
+
+    counts: np.ndarray = field(repr=False)
+    target_totals: list[int]
+    sample_size: int
+
+    def verify_rects(self, x_layout: BinLayout, y_layout: BinLayout,
+                     rects: Sequence[GridRect]) -> VerificationReport:
+        """:meth:`Verifier.verify_rects` on the layouts these cells
+        were counted for."""
+        repeats = len(self.target_totals)
+        with trace("verify", sample_size=self.sample_size,
+                   repeats=repeats) as span:
+            inside = np.zeros(self.counts.shape[1], dtype=np.int64)
+            grid = inside[:-1].reshape(x_layout.n_bins, y_layout.n_bins)
+            for rect in rects:
+                grid[rect.x_lo:rect.x_hi + 1, rect.y_lo:rect.y_hi + 1] = 1
+            hits = (self.counts @ inside).tolist()
+            fp_counts = hits[:repeats]
+            fn_counts = [total - hit for total, hit
+                         in zip(self.target_totals, hits[repeats:])]
+            return _report(span, fp_counts, fn_counts, len(rects),
+                           self.sample_size)
+
+
 @dataclass(frozen=True)
 class Verifier:
     """Estimates segmentation error on samples of one source table.
@@ -150,14 +185,10 @@ class Verifier:
             self._sample_columns[name] = column
         return column
 
-    def _sample_cell_counts(self, x_layout: BinLayout,
-                            y_layout: BinLayout) -> tuple:
-        """``(counts, target_totals)`` for a pair of layouts, counted the
-        first time it is verified.  ``counts`` is ``(2 * repeats,
-        n_x * n_y + 1)``: per exact cell, with the outside slot last,
-        each repeat's non-target sample counts and then each repeat's
-        target ones; ``target_totals`` lists each repeat's target
-        samples."""
+    def sample_cells(self, x_layout: BinLayout,
+                     y_layout: BinLayout) -> SampleCells:
+        """The samples counted per exact cell of a pair of layouts,
+        counted the first time the pair is verified."""
         key = (x_layout.attribute, x_layout.edges.tobytes(),
                y_layout.attribute, y_layout.edges.tobytes())
         cached = self._cell_counts.get(key)
@@ -176,8 +207,11 @@ class Verifier:
                 .reshape(self.repeats, slots)
                 for mask in (~is_target, is_target)
             ])
-            target_totals = np.count_nonzero(is_target, axis=1).tolist()
-            cached = counts, target_totals
+            cached = SampleCells(
+                counts=counts,
+                target_totals=np.count_nonzero(is_target, axis=1).tolist(),
+                sample_size=self.sample_size,
+            )
             self._cell_counts[key] = cached
         return cached
 
@@ -192,62 +226,16 @@ class Verifier:
             is_target = self._sample_target
             fp_counts = np.count_nonzero(covered & ~is_target, axis=1)
             fn_counts = np.count_nonzero(~covered & is_target, axis=1)
-            return self._report(span, fp_counts.tolist(),
-                                fn_counts.tolist(), len(segmentation))
+            return _report(span, fp_counts.tolist(), fn_counts.tolist(),
+                           len(segmentation), self.sample_size)
 
     def verify_rects(self, x_layout: BinLayout, y_layout: BinLayout,
                      rects: Sequence[GridRect]) -> VerificationReport:
         """:meth:`verify` for the segmentation whose rules span
         ``rects`` on the grid of ``x_layout`` by ``y_layout``, counted
         on the samples' exact cells (see the module docstring)."""
-        with trace("verify", sample_size=self.sample_size,
-                   repeats=self.repeats) as span:
-            counts, target_totals = self._sample_cell_counts(x_layout,
-                                                             y_layout)
-            inside = np.zeros(counts.shape[1], dtype=np.int64)
-            grid = inside[:-1].reshape(x_layout.n_bins, y_layout.n_bins)
-            for rect in rects:
-                grid[rect.x_lo:rect.x_hi + 1, rect.y_lo:rect.y_hi + 1] = 1
-            hits = (counts @ inside).tolist()
-            fp_counts = hits[:self.repeats]
-            fn_counts = [total - hit for total, hit
-                         in zip(target_totals, hits[self.repeats:])]
-            return self._report(span, fp_counts, fn_counts, len(rects))
-
-    def _report(self, span, fp_counts: list[int], fn_counts: list[int],
-                n_rules: int) -> VerificationReport:
-        """The report on per-repeat FP and FN counts, in Python floats.
-
-        Each float is the one NumPy's ``mean`` and ``std(ddof=1)`` give
-        on the same values (:func:`repro.perf.reference.verify_scalar`):
-        the same divisions, and sums in NumPy's order
-        (:func:`_numpy_sum`).  The counts' sums are exact integers.
-        """
-        metrics.inc("verifier.samples_drawn", self.repeats)
-        metrics.inc("verifier.tuples_sampled",
-                    self.repeats * self.sample_size)
-        repeats = self.repeats
-        rates = [(fp + fn) / self.sample_size
-                 for fp, fn in zip(fp_counts, fn_counts)]
-        mean_rate = _numpy_sum(rates) / repeats
-        stderr = 0.0
-        if repeats > 1:
-            deviations = [rate - mean_rate for rate in rates]
-            variance = (_numpy_sum([d * d for d in deviations])
-                        / (repeats - 1))
-            stderr = math.sqrt(variance) / math.sqrt(repeats)
-        span.set("error_rate", mean_rate)
-        logger.debug(
-            "verified %d rules on %d x %d samples: error %.4f",
-            n_rules, repeats, self.sample_size, mean_rate,
-        )
-        return VerificationReport(
-            mean_false_positives=sum(fp_counts) / repeats,
-            mean_false_negatives=sum(fn_counts) / repeats,
-            sample_size=self.sample_size,
-            repeats=repeats,
-            error_rate=mean_rate,
-            error_rate_stderr=stderr,
+        return self.sample_cells(x_layout, y_layout).verify_rects(
+            x_layout, y_layout, rects
         )
 
     def exact_error_rate(self, segmentation: Segmentation) -> float:
@@ -267,6 +255,42 @@ class Verifier:
             metrics.inc("verifier.tuples_scanned", len(self.table))
             span.set("error_rate", rate)
         return rate
+
+
+def _report(span, fp_counts: list[int], fn_counts: list[int],
+            n_rules: int, sample_size: int) -> VerificationReport:
+    """The report on per-repeat FP and FN counts, in Python floats.
+
+    Each float is the one NumPy's ``mean`` and ``std(ddof=1)`` give on
+    the same values (:func:`repro.perf.reference.verify_scalar`): the
+    same divisions, and sums in NumPy's order (:func:`_numpy_sum`).
+    The counts' sums are exact integers.
+    """
+    repeats = len(fp_counts)
+    metrics.inc("verifier.samples_drawn", repeats)
+    metrics.inc("verifier.tuples_sampled", repeats * sample_size)
+    rates = [(fp + fn) / sample_size
+             for fp, fn in zip(fp_counts, fn_counts)]
+    mean_rate = _numpy_sum(rates) / repeats
+    stderr = 0.0
+    if repeats > 1:
+        deviations = [rate - mean_rate for rate in rates]
+        variance = (_numpy_sum([d * d for d in deviations])
+                    / (repeats - 1))
+        stderr = math.sqrt(variance) / math.sqrt(repeats)
+    span.set("error_rate", mean_rate)
+    logger.debug(
+        "verified %d rules on %d x %d samples: error %.4f",
+        n_rules, repeats, sample_size, mean_rate,
+    )
+    return VerificationReport(
+        mean_false_positives=sum(fp_counts) / repeats,
+        mean_false_negatives=sum(fn_counts) / repeats,
+        sample_size=sample_size,
+        repeats=repeats,
+        error_rate=mean_rate,
+        error_rate_stderr=stderr,
+    )
 
 
 def _exact_bins(edges: np.ndarray,

@@ -61,6 +61,9 @@ METRICS: dict[str, tuple[str, str]] = {
     'obs.profile_samples':
         ('counter',
          'stacks collected by the sampling profiler'),
+    'optimizer.helper_failures':
+        ('counter',
+         'search helper processes that failed to start or to answer; their trials ran in the fit process'),
     'optimizer.trial_seconds':
         ('histogram',
          'wall-clock per optimizer trial'),

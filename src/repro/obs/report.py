@@ -95,6 +95,23 @@ class RunReport:
             return None
         return _tracing.Span.from_dict(self.trace)
 
+    def self_seconds(self) -> dict[str, float]:
+        """Span self time summed by span name, never below zero.
+
+        A span's self time is its duration minus its children's.  The
+        search helper's trial spans ran beside the fit process's own,
+        so an ``optimizer.search`` span's children can add up to more
+        than its duration; its self time then reads zero
+        (:attr:`~repro.obs.tracing.Span.self_seconds`).
+        """
+        root = self.span_tree()
+        totals: dict[str, float] = {}
+        if root is not None:
+            for _, span in root.walk():
+                totals[span.name] = (totals.get(span.name, 0.0)
+                                     + span.self_seconds)
+        return totals
+
     def counters(self) -> dict:
         return self.metrics.get("counters", {})
 
@@ -177,10 +194,11 @@ class RunReport:
             for depth, span in root.walk():
                 key = "  " * depth + span.name
                 if key not in aggregated:
-                    aggregated[key] = [0, 0.0]
+                    aggregated[key] = [0, 0.0, 0.0]
                     order.append(key)
                 aggregated[key][0] += 1
                 aggregated[key][1] += span.duration or 0.0
+                aggregated[key][2] += span.self_seconds
             total = self.duration_seconds or 1.0
             # format_table right-justifies; pad names so the tree
             # indentation survives alignment.
@@ -188,13 +206,14 @@ class RunReport:
             rows = [
                 [key.ljust(width), aggregated[key][0],
                  f"{aggregated[key][1]:.4f}",
+                 f"{aggregated[key][2]:.4f}",
                  f"{100.0 * aggregated[key][1] / total:.1f}%"]
                 for key in order
             ]
             parts.append("")
             parts.append(
-                format_table(["span", "calls", "total (s)", "of run"],
-                             rows)
+                format_table(["span", "calls", "total (s)", "self (s)",
+                              "of run"], rows)
             )
         counters = self.counters()
         if counters:

@@ -29,7 +29,11 @@ import numpy as np
 from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import BinLayout
-from repro.core.bitop import _clear_rows, runs_of_set_bits
+from repro.core.bitop import (
+    _clear_rows,
+    enumerate_rectangles,
+    runs_of_set_bits,
+)
 from repro.core.clusterer import ClustererConfig, ClusteringOutcome
 from repro.core.grid import RuleGrid
 from repro.core.merging import _trim_to_content, hull_cover_fraction
@@ -530,6 +534,58 @@ def scan_start_row_scalar(rows: Sequence[int], start: int,
     if mask:
         found.append((mask, height))
     return found, reach
+
+
+def largest_rectangle(rows: Sequence[int]) -> GridRect | None:
+    """The largest-area candidate rectangle of
+    :func:`repro.core.bitop.enumerate_rectangles`, or ``None`` on an
+    empty bitmap.  Candidates come back sorted, so ties break toward the
+    lexicographically smallest rectangle and the cover is deterministic."""
+    best: GridRect | None = None
+    for rect in enumerate_rectangles(rows):
+        if best is None or rect.area > best.area:
+            best = rect
+    return best
+
+
+def brute_force_maximal_rectangles(grid: RuleGrid) -> list[GridRect]:
+    """Oracle enumerator for tests: all all-set rectangles that cannot be
+    extended in any direction.  Quartic time — small grids only."""
+    cells = grid.cells
+    maximal: list[GridRect] = []
+    n_x, n_y = grid.n_x, grid.n_y
+    for x_lo in range(n_x):
+        for x_hi in range(x_lo, n_x):
+            for y_lo in range(n_y):
+                for y_hi in range(y_lo, n_y):
+                    rect = GridRect(x_lo, x_hi, y_lo, y_hi)
+                    if not grid.covers(rect):
+                        continue
+                    if _is_extendable(cells, rect, n_x, n_y):
+                        continue
+                    maximal.append(rect)
+    return sorted(set(maximal))
+
+
+def _is_extendable(cells: np.ndarray, rect: GridRect, n_x: int,
+                   n_y: int) -> bool:
+    if rect.x_lo > 0 and cells[
+        rect.x_lo - 1, rect.y_lo:rect.y_hi + 1
+    ].all():
+        return True
+    if rect.x_hi < n_x - 1 and cells[
+        rect.x_hi + 1, rect.y_lo:rect.y_hi + 1
+    ].all():
+        return True
+    if rect.y_lo > 0 and cells[
+        rect.x_lo:rect.x_hi + 1, rect.y_lo - 1
+    ].all():
+        return True
+    if rect.y_hi < n_y - 1 and cells[
+        rect.x_lo:rect.x_hi + 1, rect.y_hi + 1
+    ].all():
+        return True
+    return False
 
 
 def bitop_cover_scalar(grid: RuleGrid, min_cells: int = 1) -> list[GridRect]:

@@ -4,15 +4,17 @@ import pytest
 
 from repro.core.bitop import (
     BitOpClusterer,
-    brute_force_maximal_rectangles,
     component_bounding_boxes,
     enumerate_rectangles,
-    largest_rectangle,
     runs_of_set_bits,
     single_cell_cover,
 )
 from repro.core.grid import RuleGrid
 from repro.core.rules import GridRect
+from repro.perf.reference import (
+    brute_force_maximal_rectangles,
+    largest_rectangle,
+)
 
 
 class TestRunsOfSetBits:

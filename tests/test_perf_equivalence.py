@@ -29,7 +29,7 @@ from repro.binning.strategies import (
     equi_depth_layout,
     equi_width_layout,
 )
-from repro.core import clusterer, optimizer
+from repro.core import clusterer, optimizer, search_helper
 from repro.core.arcs import ARCS, ARCSConfig
 from repro.core.bitop import BitOpClusterer, StartRowChains, runs_of_set_bits
 from repro.core.grid import RuleGrid
@@ -513,6 +513,9 @@ def check_every_trial(monkeypatch) -> list:
         return trial, outcome
 
     monkeypatch.setattr(optimizer, "run_trial", checked_trial)
+    # Every trial in this process: the search helper runs the module it
+    # forked with, not the patched one.
+    monkeypatch.setattr(search_helper, "_force", False)
     return checked
 
 
@@ -1288,6 +1291,8 @@ class TestMergeEquivalence:
             return merge_clusters(clusters, grid, cover_fraction)
 
         monkeypatch.setattr(clusterer, "merge_clusters", recording_merge)
+        # Every trial in this process, where the recording patch is.
+        monkeypatch.setattr(search_helper, "_force", False)
         table = repro.generate_synthetic(repro.SyntheticConfig(
             n_tuples=n_tuples, function_id=2, perturbation=0.05,
             outlier_fraction=outliers, seed=0,
