@@ -7,7 +7,9 @@ measurements to ``BENCH_hotpaths.json`` at the repo root, and compares
 the speedups against the checked-in budgets in
 ``benchmarks/perf_budgets.json``.  A kernel that regresses below its
 budgeted speedup (minus the noise tolerance) fails the run — this is
-the CI perf gate.
+the CI perf gate.  The ``http_roundtrip`` tier times a keep-alive
+``/predict`` through the serving stack against a bare stdlib HTTP
+handler in the same way.
 
 The report is written even when a benchmark crashes mid-run: the
 partial report carries ``"status": "error"`` plus the failure text, so
@@ -36,9 +38,14 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import re
+import socket
 import sys
+import tempfile
+import threading
 import time
 from functools import lru_cache
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -82,7 +89,13 @@ from repro.data.schema import (  # noqa: E402
 from repro.mining.engine import rule_grid, rule_measures  # noqa: E402
 from repro.obs.timing import best_of  # noqa: E402
 from repro.perf import reference  # noqa: E402
+from repro.persistence import save_segmentation  # noqa: E402
+from repro.serve.registry import ModelRegistry  # noqa: E402
 from repro.serve.scorer import compile_scorer  # noqa: E402
+from repro.serve.service import (  # noqa: E402
+    PredictionServer,
+    PredictionService,
+)
 
 BUDGETS_PATH = Path(__file__).parent / "perf_budgets.json"
 #: The report lands at the repo root so every tool (CI artifact upload,
@@ -101,7 +114,11 @@ SIZES = {
     "merge": (24, 24),
     "bitop_cover": (48, 32),
     "trial": (400_000, 40_000),
+    "http_roundtrip": (2_000, 500),
 }
+#: The ``/predict`` round trip this tier reports against, in microseconds
+#: (ROADMAP, "Own the HTTP/1.1 request loop"); informational, not gated.
+HTTP_ROUND_TRIP_TARGET_US = 40.0
 
 #: Table sizes of the ``fit`` scenario, in tuples (both modes).
 FIT_SIZES = (20_000, 200_000)
@@ -532,6 +549,110 @@ def bench_trial(n: int, trials: int) -> dict:
     }
 
 
+class _ConstantHandler(BaseHTTPRequestHandler):
+    """A bare stdlib HTTP/1.1 handler: reads the body, answers a
+    constant JSON object.  Its head and body leave in two sends, so
+    Nagle is off, or the second would wait ~40 ms for a delayed ACK."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    answer = b'{"in_segment": true}'
+
+    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.answer)))
+        self.end_headers()
+        self.wfile.write(self.answer)
+
+    def log_message(self, format: str, *args) -> None:
+        pass
+
+
+def _round_tripper(address: tuple[str, int], request: bytes):
+    """A raw-socket keep-alive client: ``(round_trip, close)``, where
+    ``round_trip()`` sends ``request`` and returns the answer's body."""
+    conn = socket.create_connection(address)
+    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def round_trip() -> bytes:
+        conn.sendall(request)
+        data = conn.recv(65536)
+        while b"\r\n\r\n" not in data:
+            data += conn.recv(65536)
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(re.search(rb"Content-Length: (\d+)", head)[1])
+        while len(body) < length:
+            body += conn.recv(65536)
+        return body
+
+    return round_trip, conn.close
+
+
+def bench_http_roundtrip(n: int, trials: int) -> dict:
+    """One keep-alive ``POST /predict`` round trip on a loopback
+    connection, a raw-socket client in this process: a bare stdlib
+    ``BaseHTTPRequestHandler`` answering a constant vs
+    :class:`~repro.serve.service.PredictionServer` over a 24-rule model
+    (head checks, JSON, dispatch, scorer, traffic monitor).  Each timed
+    batch is n round trips.
+
+    ``server_cpu_us`` is the process CPU per ``/predict`` round trip
+    minus the client thread's own: the server's handler thread, plus
+    its accept loop waking twice a second.
+    """
+    segmentation, scorer, x_values, y_values = _scorer_case(1)
+    x, y = float(x_values[0]), float(y_values[0])
+    body = json.dumps({"model": "bench", "x": x, "y": y}).encode()
+    request = (b"POST /predict HTTP/1.1\r\nHost: bench\r\n"
+               b"Content-Type: application/json\r\n"
+               b"Content-Length: %d\r\n\r\n" % len(body) + body)
+    with tempfile.TemporaryDirectory() as model_dir:
+        save_segmentation(segmentation, Path(model_dir) / "bench.json")
+        arcs = PredictionServer(
+            ("127.0.0.1", 0),
+            PredictionService(ModelRegistry(model_dir).load()),
+        )
+        stdlib = ThreadingHTTPServer(("127.0.0.1", 0), _ConstantHandler)
+        for server in (arcs, stdlib):
+            threading.Thread(target=server.serve_forever,
+                             daemon=True).start()
+        arcs_trip, arcs_close = _round_tripper(arcs.server_address,
+                                               request)
+        stdlib_trip, stdlib_close = _round_tripper(
+            stdlib.server_address, request)
+        try:
+            expected = scorer.score(x, y)
+            answer = json.loads(arcs_trip())
+            assert answer["rule"] == (expected if expected >= 0
+                                      else None), "/predict differs"
+            assert stdlib_trip() == _ConstantHandler.answer
+            stdlib_seconds = best_of(stdlib_trip, trials=trials, number=n)
+            arcs_seconds = best_of(arcs_trip, trials=trials, number=n)
+            process, thread = time.process_time(), time.thread_time()
+            for _ in range(n):
+                arcs_trip()
+            server_cpu = ((time.process_time() - process)
+                          - (time.thread_time() - thread)) / n
+        finally:
+            arcs_close()
+            stdlib_close()
+            for server in (arcs, stdlib):
+                server.shutdown()
+                server.server_close()
+    return {
+        "name": "http_roundtrip",
+        "n": n,
+        "unit": "round trips",
+        "scalar_seconds": stdlib_seconds,
+        "vectorized_seconds": arcs_seconds,
+        "round_trip_us": arcs_seconds * 1e6,
+        "target_us": HTTP_ROUND_TRIP_TARGET_US,
+        "server_cpu_us": server_cpu * 1e6,
+    }
+
+
 def bench_fit(n: int, trials: int) -> dict:
     """``ARCS.fit`` end to end on n tuples of Function 2 with the e2e
     fit workloads' search (:data:`FIT_CONFIG`): the best untraced fit
@@ -594,6 +715,7 @@ BENCHMARKS = {
     "merge": bench_merge,
     "bitop_cover": bench_bitop_cover,
     "trial": bench_trial,
+    "http_roundtrip": bench_http_roundtrip,
 }
 
 
@@ -643,20 +765,26 @@ def _seconds(value: float) -> str:
 
 def render(results: list[dict]) -> str:
     header = (
-        f"{'benchmark':<12} {'n':>8} {'scalar':>12} {'vectorized':>12} "
+        f"{'benchmark':<14} {'n':>8} {'scalar':>12} {'vectorized':>12} "
         f"{'speedup':>9} {'budget':>8} {'status':>9}"
     )
     lines = [header, "-" * len(header)]
     for result in results:
         budget = result.get("budget_min_speedup")
         lines.append(
-            f"{result['name']:<12} {result['n']:>8} "
+            f"{result['name']:<14} {result['n']:>8} "
             f"{_seconds(result['scalar_seconds']):>12} "
             f"{_seconds(result['vectorized_seconds']):>12} "
             f"{result['speedup']:>8.1f}x "
             f"{('%.1fx' % budget) if budget else '-':>8} "
             f"{result['status']:>9}"
         )
+    lines += [
+        f"{result['name']}: {result['round_trip_us']:.1f}us per round "
+        f"trip (target {result['target_us']:.0f}us, not gated), server "
+        f"CPU {result['server_cpu_us']:.1f}us"
+        for result in results if "round_trip_us" in result
+    ]
     return "\n".join(lines)
 
 

@@ -18,7 +18,7 @@ Modules, in pipeline order (paper Figure 2):
 """
 
 from repro.core.arcs import ARCS, ARCSConfig, ARCSResult
-from repro.core.bitop import BitOpClusterer, enumerate_rectangles
+from repro.core.bitop import BitOpClusterer
 from repro.core.clusterer import ClustererConfig, GridClusterer
 from repro.core.grid import RuleGrid
 from repro.core.mdl import mdl_cost
@@ -32,7 +32,6 @@ __all__ = [
     "ARCSConfig",
     "ARCSResult",
     "BitOpClusterer",
-    "enumerate_rectangles",
     "ClustererConfig",
     "GridClusterer",
     "RuleGrid",

@@ -51,50 +51,6 @@ from repro.obs import metrics, trace
 logger = logging.getLogger(__name__)
 
 
-def runs_of_set_bits(mask: int) -> list[tuple[int, int]]:
-    """Decompose an integer bitmask into maximal runs of consecutive set
-    bits, returned as ``(first_bit, length)`` pairs in ascending order.
-
-    Uses only shifts and masks: repeatedly strip trailing zeros, then
-    measure the run of trailing ones.
-    """
-    runs = []
-    position = 0
-    while mask:
-        # Skip the run of trailing zeros in one step.
-        trailing_zeros = (mask & -mask).bit_length() - 1
-        mask >>= trailing_zeros
-        position += trailing_zeros
-        # Measure the run of trailing ones: mask+1 flips them to a single
-        # carry bit whose position is the run length.
-        run_length = ((mask + 1) & ~mask).bit_length() - 1
-        runs.append((position, run_length))
-        mask >>= run_length
-        position += run_length
-    return runs
-
-
-def enumerate_rectangles(rows: Sequence[int]) -> list[GridRect]:
-    """Enumerate BitOp's candidate rectangles for a bitmap.
-
-    ``rows[i]`` is the bitmap of x-row ``i`` (bit ``j`` = cell ``(i, j)``).
-    For each start row, rectangles are emitted exactly when the running
-    AND-mask is about to change, so every emitted rectangle is maximal in
-    height for its (start row, column run); runs are maximal in width by
-    construction.  Each candidate's top edge is its start row, so no two
-    start rows emit the same rectangle.  Returned sorted.
-    """
-    candidates = sorted(
-        GridRect(start, start + height - 1, first_bit,
-                 first_bit + length - 1)
-        for start, chain in enumerate(StartRowChains(rows).chains)
-        for mask, height in chain
-        for first_bit, length in runs_of_set_bits(mask)
-    )
-    metrics.inc("bitop.rectangles_enumerated", len(candidates))
-    return candidates
-
-
 #: A start row's ``(mask, height)`` emissions: each run of set bits in
 #: ``mask`` is one candidate ``height`` rows tall, whose top edge is the
 #: start row.  Heights ascend and each mask is a subset of the last.

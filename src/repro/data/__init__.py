@@ -17,7 +17,7 @@ from repro.data.functions import (
     true_regions,
 )
 from repro.data.perturbation import inject_outliers, perturb_quantitative
-from repro.data.sampling import repeated_k_of_n, sample_indices
+from repro.data.sampling import sample_indices
 from repro.data.schema import AttributeSpec, CategoricalColumn, Table
 from repro.data.synthetic import (
     DEMOGRAPHIC_ATTRIBUTES,
@@ -40,5 +40,4 @@ __all__ = [
     "perturb_quantitative",
     "inject_outliers",
     "sample_indices",
-    "repeated_k_of_n",
 ]

@@ -9,7 +9,7 @@ sets; the verifier owns the error computation.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,15 +50,3 @@ def repeat_indices(n: int, k: int, seed: int,
         for repeat in repeat_ids
     ])
 
-
-def repeated_k_of_n(n: int, k: int, repeats: int,
-                    rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """Yield ``repeats`` independent k-of-n samples (paper Section 3.6).
-
-    Each yielded array holds ``k`` distinct indices; successive samples are
-    independent draws, so the same row may appear in several samples.
-    """
-    if repeats <= 0:
-        raise ValueError("repeats must be positive")
-    for _ in range(repeats):
-        yield sample_indices(n, k, rng)

@@ -29,11 +29,7 @@ import numpy as np
 from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import BinLayout
-from repro.core.bitop import (
-    _clear_rows,
-    enumerate_rectangles,
-    runs_of_set_bits,
-)
+from repro.core.bitop import StartRowChains, _clear_rows
 from repro.core.clusterer import ClustererConfig, ClusteringOutcome
 from repro.core.grid import RuleGrid
 from repro.core.merging import _trim_to_content, hull_cover_fraction
@@ -508,6 +504,51 @@ def merge_clusters_scalar(clusters: Sequence[GridRect], grid: RuleGrid,
     return merged
 
 
+def runs_of_set_bits(mask: int) -> list[tuple[int, int]]:
+    """Decompose an integer bitmask into maximal runs of consecutive set
+    bits, returned as ``(first_bit, length)`` pairs in ascending order.
+
+    Uses only shifts and masks: repeatedly strip trailing zeros, then
+    measure the run of trailing ones.
+    """
+    runs = []
+    position = 0
+    while mask:
+        # Skip the run of trailing zeros in one step.
+        trailing_zeros = (mask & -mask).bit_length() - 1
+        mask >>= trailing_zeros
+        position += trailing_zeros
+        # Measure the run of trailing ones: mask+1 flips them to a single
+        # carry bit whose position is the run length.
+        run_length = ((mask + 1) & ~mask).bit_length() - 1
+        runs.append((position, run_length))
+        mask >>= run_length
+        position += run_length
+    return runs
+
+
+def enumerate_rectangles(rows: Sequence[int]) -> list[GridRect]:
+    """Enumerate BitOp's candidate rectangles for a bitmap.
+
+    ``rows[i]`` is the bitmap of x-row ``i`` (bit ``j`` = cell ``(i, j)``).
+    For each start row, rectangles are emitted exactly when the running
+    AND-mask is about to change, so every emitted rectangle is maximal in
+    height for its (start row, column run); runs are maximal in width by
+    construction.  Each candidate's top edge is its start row, so no two
+    start rows emit the same rectangle.  Returned sorted.
+
+    It reads the production cover's :class:`StartRowChains`, so the
+    tests hold those chains to :func:`brute_force_maximal_rectangles`.
+    """
+    return sorted(
+        GridRect(start, start + height - 1, first_bit,
+                 first_bit + length - 1)
+        for start, chain in enumerate(StartRowChains(rows).chains)
+        for mask, height in chain
+        for first_bit, length in runs_of_set_bits(mask)
+    )
+
+
 def scan_start_row_scalar(rows: Sequence[int], start: int,
                           ) -> tuple[list[tuple[int, int]], int]:
     """BitOp's AND-scan from one start row, row by row: the oracle for
@@ -538,7 +579,7 @@ def scan_start_row_scalar(rows: Sequence[int], start: int,
 
 def largest_rectangle(rows: Sequence[int]) -> GridRect | None:
     """The largest-area candidate rectangle of
-    :func:`repro.core.bitop.enumerate_rectangles`, or ``None`` on an
+    :func:`enumerate_rectangles`, or ``None`` on an
     empty bitmap.  Candidates come back sorted, so ties break toward the
     lexicographically smallest rectangle and the cover is deterministic."""
     best: GridRect | None = None

@@ -8,8 +8,10 @@ Two halves, separable for testing:
   ``serve.*`` counters and histograms (catalogue in
   ``docs/observability.md``).  Unit tests drive this directly.
 * :class:`PredictionServer` / :class:`PredictionHandler` — a
-  stdlib-only threaded HTTP front (``http.server.ThreadingHTTPServer``)
-  that parses JSON bodies, maps :class:`ServiceError` to status codes
+  stdlib-only threaded HTTP/1.1 front (``socketserver``, one thread per
+  connection) whose handler owns the keep-alive request loop: it
+  checks each request head, parses JSON bodies, maps
+  :class:`ServiceError` to status codes, writes each answer in one send
   and logs through the module logger instead of printing.
 
 Endpoints::
@@ -56,10 +58,13 @@ import logging
 import os
 import random
 import re
+import socketserver
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from functools import lru_cache
+from http import HTTPStatus
 from time import perf_counter
 from urllib.parse import parse_qs
 
@@ -627,11 +632,21 @@ _POST_ROUTES = {
 }
 
 
-#: The stdlib's request-head limits (:mod:`http.client`): a header line
-#: of at most 65,536 bytes, and at most 100 lines counting the blank
-#: line that ends the head.
+
+#: The stdlib's request-head limits (:mod:`http.client`): a line of at
+#: most 65,536 bytes, and at most 100 head lines counting the blank line
+#: that ends the head.
 _MAX_LINE = 65536
 _MAX_HEAD_LINES = 100
+
+#: The largest request body accepted; a larger declared
+#: ``Content-Length`` is refused with 413 before any of the body is
+#: read.  The handler reads a whole body into memory and ``json.loads``
+#: makes several times its size in objects, so an unbounded length lets
+#: one request exhaust the process.  16 MiB holds a ``/predict_batch``
+#: of ~400,000 points (~40 bytes of JSON a point), 400 times the
+#: 1,024-point batches of the serving benchmarks.
+MAX_BODY_BYTES = 16 * 1024 * 1024
 
 #: A header field line as :mod:`email` takes one: a name of visible
 #: ASCII other than ``:``, then a colon.
@@ -642,157 +657,119 @@ _FIELD_RE = re.compile(rb"([\x21-\x39\x3b-\x7e]*):")
 #: fields out of the same bytes.
 _BARE_CR_OR_NUL = re.compile(rb"\r(?!\n)|\x00")
 
-#: A request-line version :meth:`BaseHTTPRequestHandler.parse_request`
-#: accepts: ASCII digits, at most 10 of them on each side of one dot.
+#: A request-line version the stdlib accepts: ASCII digits, at most 10
+#: of them on each side of one dot.
 _VERSION_RE = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
 
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
-class PredictionHandler(BaseHTTPRequestHandler):
-    """JSON-over-HTTP front for a :class:`PredictionService`.
+@lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """The ``Date`` header value (RFC 9110) of a second since the epoch."""
+    return formatdate(second, usegmt=True)
 
-    It parses request heads itself (:meth:`parse_request`) and buffers
-    each answer, so the head and the body leave in one send; see "HTTP
-    framing" in ``docs/serving.md``.
+
+class PredictionHandler(socketserver.StreamRequestHandler):
+    """JSON-over-HTTP/1.1 front for a :class:`PredictionService`.
+
+    :meth:`handle` is the whole keep-alive loop: read and check one
+    request head, route it, read its JSON body, dispatch, and write the
+    answer in one send, until a request or a refusal closes the
+    connection.  See "HTTP framing" in ``docs/serving.md``.
     """
 
-    #: A buffered ``wfile``: ``handle_one_request`` flushes it after each
-    #: request (``finish`` after an error), so the head and the body of
-    #: an answer that fits the buffer leave in one send, and the client
-    #: wakes once.
-    wbufsize = -1
-
-    # Some answers still leave in several sends: "100 Continue" goes
-    # ahead of its answer, and one larger than the buffer (a big
-    # /predict_batch, /metrics) is cut into pieces.  With Nagle on, a
-    # small send after an unacknowledged one waits for its ACK, a
-    # ~40 ms stall on a keep-alive connection.
+    # "100 Continue" goes ahead of its answer, and the kernel cuts a
+    # large answer (a big /predict_batch, /metrics) into segments.  With
+    # Nagle on, a small send after an unacknowledged one waits for its
+    # ACK, a ~40 ms stall on a keep-alive connection.
     disable_nagle_algorithm = True
 
     server: "PredictionServer"
-    protocol_version = "HTTP/1.1"
 
-    #: Set per request before routing; echoed by :meth:`_send`.
-    _request_id: str | None = None
-
-    # ------------------------------------------------------------------
-    # Verbs
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        token = self._begin_request()
-        self._close_if_body_unread()
+    def handle(self) -> None:
         try:
-            path, _, query = self.path.partition("?")
-            endpoint = _GET_ROUTES.get(path)
-            if endpoint is None:
-                self._send(404, {"error": f"no such path {path!r}"})
-                return
-            payload = {
-                key: values[-1]
-                for key, values in parse_qs(query).items()
-            } if query else {}
-            if endpoint == "metrics" and "format" not in payload:
-                # Content negotiation: a Prometheus scraper asks for
-                # the text format; JSON stays the default otherwise.
-                accept = self.headers.get("accept", "")
-                if "text/plain" in accept or "openmetrics" in accept:
-                    payload["format"] = "prometheus"
-            status, body = self.server.service.dispatch(
-                endpoint, payload or None
-            )
-            self._send(status, body)
+            while self._handle_one():
+                pass
+        except ConnectionError:
+            pass  # the client hung up; there is no one left to answer
+
+    def _handle_one(self) -> bool:
+        """Read and answer one request; False once the connection is
+        to close."""
+        try:
+            if not self._read_head():
+                return False
+        except ServiceError as error:  # the connection closes
+            self._answer(error.status, {"error": error.message})
+            return False
+        if self.length and (self.command != "POST"
+                            or self.path not in _POST_ROUTES):
+            # A body left unread: on a kept-alive connection its bytes
+            # would be parsed as the next request.
+            self.close_connection = True
+        # A client's id (one log-safe token) threads a proxy's ids; the
+        # binding stamps it onto every event the request emits.
+        self.request_id = _request_id_for(
+            self.headers.get("x-arcs-request-id"))
+        token = events.set_request_id(self.request_id)
+        try:
+            if self.command == "GET":
+                self._get()
+            elif self.command == "POST":
+                self._post()
+            else:
+                self.close_connection = True
+                self._answer(501, {"error": "Unsupported method "
+                                            f"({self.command!r})"})
         finally:
             events.reset_request_id(token)
+        return not self.close_connection
 
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        token = self._begin_request()
-        try:
-            endpoint = _POST_ROUTES.get(self.path)
-            if endpoint is None:
-                self._close_if_body_unread()
-                self._send(404,
-                           {"error": f"no such path {self.path!r}"})
-                return
-            try:
-                payload = self._read_json()
-            except ServiceError as error:
-                self._send(error.status, {"error": error.message})
-                return
-            status, body = self.server.service.dispatch(
-                endpoint, payload
-            )
-            self._send(status, body)
-        finally:
-            events.reset_request_id(token)
+    def _read_head(self) -> bool:
+        """Read one request head into ``command``, ``path``,
+        ``request_version``, ``close_connection``, ``headers`` (by
+        lower-cased field name) and ``length`` (the declared body
+        length, -1 if it is no count).
 
-    def _begin_request(self):
-        """Assign this request's id and bind it to the handler context.
-
-        An inbound ``X-Arcs-Request-Id`` (one log-safe token) is
-        honoured so upstream proxies can thread their own ids; anything
-        else gets a fresh random id.  Binding through
-        :func:`repro.obs.events.set_request_id` is what stamps the same
-        id onto every event the request emits (access log, drift
-        alerts, sheds); the caller resets the returned token in its
-        ``finally``.
+        False at the end of the connection (no or an empty request
+        line); a refused head raises :class:`ServiceError`.  Limits,
+        verdicts and field values are those of the stdlib's HTTP
+        request handler (the oracle of the tests), with :mod:`email`'s
+        reading of a field line.  Refused though the
+        stdlib lets them through: a bare CR or a NUL, any
+        ``Transfer-Encoding`` and ``Content-Length`` fields that
+        disagree (a proxy could frame the body or read the fields
+        differently), and a body over :data:`MAX_BODY_BYTES` (413).
         """
-        self._request_id = _request_id_for(
-            self.headers.get(REQUEST_ID_HEADER.lower())
-        )
-        return events.set_request_id(self._request_id)
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def parse_request(self) -> bool:
-        """Parse the request line and read the head into ``headers``,
-        a dict by lower-cased field name, without :mod:`email`.
-
-        Limits and verdicts are those of
-        :meth:`BaseHTTPRequestHandler.parse_request`, the oracle of the
-        tests: the same statuses through the stdlib's ``send_error``,
-        the same ``close_connection``, and the same value for each field
-        (the first of a repeated field; leading blanks dropped, obs-fold
-        continuation lines kept).  As in :mod:`email`, a line starting
-        ``From `` is skipped, and a line that is neither a field nor a
-        continuation ends the fields; the rest of the head is read and
-        ignored.  Three things the stdlib lets through get a 400 and a
-        closed connection, because a proxy could frame the body or read
-        the fields differently from the handler: a bare CR or a NUL in
-        the head, any ``Transfer-Encoding``, and ``Content-Length``
-        fields that disagree.
-        """
-        self.command = None
-        self.request_version = self.default_request_version
+        self.command = self.path = self.headers = self.request_id = None
+        self.request_version = "HTTP/0.9"  # the answer is the bare body
         self.close_connection = True
-        requestline = str(self.raw_requestline, "iso-8859-1")
-        self.requestline = requestline = requestline.rstrip("\r\n")
+        self.requestline = ""
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            self.request_version = ""  # answered with a status line
+            raise ServiceError(414, "Request-URI Too Long")
+        self.requestline = requestline = str(line, "latin-1").rstrip("\r\n")
         words = requestline.split()
         if not words:
             return False
+        close = True
         if len(words) >= 3:
             version = words[-1]
             match = _VERSION_RE.fullmatch(version)
             if match is None:
-                self.send_error(400, "Bad request version (%r)" % version)
-                return False
+                raise ServiceError(400, f"Bad request version ({version!r})")
             number = int(match[1]), int(match[2])
-            if number >= (1, 1) and self.protocol_version >= "HTTP/1.1":
-                self.close_connection = False
             if number >= (2, 0):
-                self.send_error(505, "Invalid HTTP version (%s)"
-                                % version[5:])
-                return False
+                raise ServiceError(
+                    505, f"Invalid HTTP version ({version[5:]})")
+            close = number < (1, 1)
             self.request_version = version
         if len(words) > 3:
-            self.send_error(400, "Bad request syntax (%r)" % requestline)
-            return False
+            raise ServiceError(400, f"Bad request syntax ({requestline!r})")
         command, path = words[:2]
-        if len(words) == 2:
-            self.close_connection = True
-            if command != "GET":
-                self.send_error(400, "Bad HTTP/0.9 request type (%r)"
-                                % command)
-                return False
+        if len(words) == 2 and command != "GET":
+            raise ServiceError(400, f"Bad HTTP/0.9 request type ({command!r})")
         if path.startswith("//"):  # no scheme-relative redirect targets
             path = "/" + path.lstrip("/")
         self.command, self.path = command, path
@@ -803,18 +780,13 @@ class PredictionHandler(BaseHTTPRequestHandler):
         for count in range(1, _MAX_HEAD_LINES + 2):
             line = self.rfile.readline(_MAX_LINE + 1)
             if len(line) > _MAX_LINE:
-                self.send_error(431, "Line too long", "got more than "
-                                f"{_MAX_LINE} bytes when reading header line")
-                return False
+                raise ServiceError(431, "Line too long")
             if count > _MAX_HEAD_LINES:
-                self.send_error(431, "Too many headers", "got more than "
-                                f"{_MAX_HEAD_LINES} headers")
-                return False
+                raise ServiceError(431, "Too many headers")
             if line in (b"\r\n", b"\n", b""):
                 break
             if _BARE_CR_OR_NUL.search(line):
-                self.send_error(400, "Bare CR or NUL in the request head")
-                return False
+                raise ServiceError(400, "Bare CR or NUL in the request head")
             if ended:
                 continue
             if line[0] in b" \t":
@@ -841,51 +813,70 @@ class PredictionHandler(BaseHTTPRequestHandler):
                 lengths.add(value.strip())
             headers.setdefault(name, value)
         if "transfer-encoding" in headers:
-            self.send_error(400, "Transfer-Encoding is not supported")
-            return False
+            raise ServiceError(400, "Transfer-Encoding is not supported")
         if len(lengths) > 1:
-            self.send_error(400, "Conflicting Content-Length fields")
-            return False
+            raise ServiceError(400, "Conflicting Content-Length fields")
+        length = (headers.get("content-length") or "0").strip()
+        digits = length.lstrip("0")
+        if not (length.isascii() and length.isdigit()):
+            self.length = -1
+        elif len(digits) > 9 or int(digits or 0) > MAX_BODY_BYTES:
+            # (int() refuses a string of over 4,300 digits.)
+            raise ServiceError(413, f"body over {MAX_BODY_BYTES} bytes")
+        else:
+            self.length = int(digits or 0)
 
         connection = headers.get("connection", "").lower()
         if connection == "close":
-            self.close_connection = True
-        elif (connection == "keep-alive"
-              and self.protocol_version >= "HTTP/1.1"):
-            self.close_connection = False
+            close = True
+        elif connection == "keep-alive":
+            close = False
+        self.close_connection = close
         if (headers.get("expect", "").lower() == "100-continue"
-                and self.protocol_version >= "HTTP/1.1"
                 and self.request_version >= "HTTP/1.1"):
-            return self.handle_expect_100()
+            # Sent now: the client waits for it before sending the body.
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         return True
 
-    def handle_expect_100(self) -> bool:
-        """Send "100 Continue" now: the client waits for it before it
-        sends the body, and the buffered ``wfile`` would hold it."""
-        accepted = super().handle_expect_100()
-        self.wfile.flush()
-        return accepted
+    def _get(self) -> None:
+        path, _, query = self.path.partition("?")
+        endpoint = _GET_ROUTES.get(path)
+        if endpoint is None:
+            self._answer(404, {"error": f"no such path {path!r}"})
+            return
+        payload = {
+            key: values[-1] for key, values in parse_qs(query).items()
+        } if query else {}
+        if endpoint == "metrics" and "format" not in payload:
+            # Content negotiation: a Prometheus scraper asks for the
+            # text format; JSON stays the default otherwise.
+            accept = self.headers.get("accept", "")
+            if "text/plain" in accept or "openmetrics" in accept:
+                payload["format"] = "prometheus"
+        self._answer(*self.server.service.dispatch(endpoint,
+                                                   payload or None))
 
-    def _close_if_body_unread(self) -> None:
-        """Close the connection after this answer when the request
-        declares a body the handler does not read: on a kept-alive
-        connection its bytes would be parsed as the next request."""
-        if (self.headers.get("content-length") or "0").strip() != "0":
-            self.close_connection = True
+    def _post(self) -> None:
+        endpoint = _POST_ROUTES.get(self.path)
+        if endpoint is None:
+            self._answer(404, {"error": f"no such path {self.path!r}"})
+            return
+        try:
+            payload = self._read_json()
+        except ServiceError as error:
+            self._answer(error.status, {"error": error.message})
+            return
+        self._answer(*self.server.service.dispatch(endpoint, payload))
 
     def _read_json(self) -> dict:
-        header = (self.headers.get("content-length") or "0").strip()
-        # A negative length would make rfile.read() block until the
-        # client hangs up; a non-integer one would raise mid-handler.
-        # Either way the body's extent is unknown, so the connection
-        # cannot be reused for a next request.
-        if not (header.isascii() and header.isdigit()):
+        if self.length < 0:
+            # The extent of the body is unknown, so the connection
+            # cannot carry a next request.
             self.close_connection = True
+            header = self.headers["content-length"].strip()
             raise ServiceError(
-                400, f"invalid Content-Length header {header!r}"
-            )
-        length = int(header)
-        raw = self.rfile.read(length) if length else b""
+                400, f"invalid Content-Length header {header!r}")
+        raw = self.rfile.read(self.length) if self.length else b""
         if not raw:
             raise ServiceError(400, "empty request body; send JSON")
         try:
@@ -896,31 +887,37 @@ class PredictionHandler(BaseHTTPRequestHandler):
             raise ServiceError(400, "request body must be a JSON object")
         return payload
 
-    def _send(self, status: int, body: dict | TextResponse) -> None:
+    def _answer(self, status: int, body: dict | TextResponse) -> None:
+        """Write one answer, its head and body in one send; an HTTP/0.9
+        request gets the bare body, and a ``HEAD`` the head alone.  Logs
+        the access line at INFO."""
         if isinstance(body, TextResponse):
             data = body.text.encode("utf-8")
             content_type = body.content_type
         else:
             data = json.dumps(body).encode("utf-8")
             content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        if self._request_id is not None:
-            self.send_header(REQUEST_ID_HEADER, self._request_id)
-        self.end_headers()
-        self.wfile.write(data)
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            second = int(time.time())  # wall-clock: ok (the Date header)
+            head = (
+                f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+                f"Date: {_http_date(second)}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(data)}\r\n"
+                + (f"{REQUEST_ID_HEADER}: {self.request_id}\r\n"
+                   if self.request_id is not None else "")
+                + ("Connection: close\r\n" if self.close_connection
+                   else "")
+                + "\r\n"
+            ).encode("latin-1")
+        self.wfile.write(head if self.command == "HEAD" else head + data)
+        if logger.isEnabledFor(logging.INFO):
+            logger.info('%s "%s" %d', self.client_address[0],
+                        self.requestline, status)
 
-    def log_message(self, format: str, *args) -> None:
-        # BaseHTTPRequestHandler prints to stderr; route through the
-        # library's logging convention instead, and build the line only
-        # when INFO is on.
-        if not logger.isEnabledFor(logging.INFO):
-            return
-        logger.info("%s %s", self.address_string(), format % args)
 
-
-class PredictionServer(ThreadingHTTPServer):
+class PredictionServer(socketserver.ThreadingTCPServer):
     """A threaded HTTP server bound to one :class:`PredictionService`.
 
     Thread-per-connection with daemon threads: an in-flight request
@@ -929,6 +926,7 @@ class PredictionServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int],
                  service: PredictionService):
@@ -939,6 +937,11 @@ class PredictionServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def handle_error(self, request, client_address) -> None:
+        """Log an exception that escaped a handler through the module
+        logger; ``socketserver`` would print it to stderr."""
+        logger.exception("unhandled error serving %s", client_address[0])
 
     def serve_in_background(self) -> threading.Thread:
         """Start ``serve_forever`` on a daemon thread (tests, CLI)."""

@@ -61,10 +61,10 @@ import multiprocessing
 import os
 import shutil
 import signal
+import socketserver
 import tempfile
 import threading
 from dataclasses import dataclass, replace
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 from queue import Empty
 from time import perf_counter
@@ -122,9 +122,9 @@ class WorkerConfig:
 class _AdoptedSocketServer(PredictionServer):
     """A :class:`PredictionServer` over an inherited, listening socket.
 
-    The parent bound and listens; workers must not bind again, so the
-    stdlib constructor runs with ``bind_and_activate=False`` and the
-    fresh unbound socket it makes is swapped for the shared one.
+    The parent bound and listens; workers must not bind again, so only
+    the base server's constructor runs, and the shared socket is
+    adopted as the server's own.
 
     Handler threads are non-daemon (unlike the threaded
     :class:`PredictionServer`): ``ThreadingMixIn`` only tracks — and
@@ -136,15 +136,9 @@ class _AdoptedSocketServer(PredictionServer):
     daemon_threads = False
 
     def __init__(self, listen_socket, service: PredictionService):
-        ThreadingHTTPServer.__init__(
-            self, listen_socket.getsockname()[:2], PredictionHandler,
-            bind_and_activate=False,
-        )
-        self.socket.close()
+        socketserver.BaseServer.__init__(
+            self, listen_socket.getsockname()[:2], PredictionHandler)
         self.socket = listen_socket
-        host, port = listen_socket.getsockname()[:2]
-        self.server_name = host
-        self.server_port = port
         self.service = service
 
 

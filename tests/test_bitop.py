@@ -5,15 +5,15 @@ import pytest
 from repro.core.bitop import (
     BitOpClusterer,
     component_bounding_boxes,
-    enumerate_rectangles,
-    runs_of_set_bits,
     single_cell_cover,
 )
 from repro.core.grid import RuleGrid
 from repro.core.rules import GridRect
 from repro.perf.reference import (
     brute_force_maximal_rectangles,
+    enumerate_rectangles,
     largest_rectangle,
+    runs_of_set_bits,
 )
 
 

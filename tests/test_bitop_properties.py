@@ -4,15 +4,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bitop import (
-    BitOpClusterer,
-    _longest_run,
+from repro.core.bitop import BitOpClusterer, _longest_run
+from repro.core.grid import RuleGrid
+from repro.obs import metrics
+from repro.perf.reference import (
+    brute_force_maximal_rectangles,
     enumerate_rectangles,
     runs_of_set_bits,
 )
-from repro.core.grid import RuleGrid
-from repro.obs import metrics
-from repro.perf.reference import brute_force_maximal_rectangles
 
 
 @st.composite

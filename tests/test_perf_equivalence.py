@@ -31,7 +31,7 @@ from repro.binning.strategies import (
 )
 from repro.core import clusterer, optimizer, search_helper
 from repro.core.arcs import ARCS, ARCSConfig
-from repro.core.bitop import BitOpClusterer, StartRowChains, runs_of_set_bits
+from repro.core.bitop import BitOpClusterer, StartRowChains
 from repro.core.grid import RuleGrid
 from repro.core.merging import _trim_to_content, merge_clusters
 from repro.core.optimizer import OptimizerConfig, ThresholdLattice
@@ -1430,7 +1430,7 @@ def scalar_candidates(rows, start):
         (-length * height, start, start + height - 1, first_bit,
          first_bit + length - 1)
         for mask, height in emissions
-        for first_bit, length in runs_of_set_bits(mask)
+        for first_bit, length in reference.runs_of_set_bits(mask)
     ]
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.data.sampling import repeated_k_of_n, sample_indices
+from repro.core.verifier import Verifier
+from repro.data.sampling import repeat_indices, sample_indices
+from repro.data.synthetic import SyntheticConfig, generate_synthetic
 from repro.perf.reference import mean_and_stderr
 
 
@@ -25,19 +27,33 @@ class TestSampleIndices:
 
 
 class TestRepeatedKOfN:
-    def test_yields_requested_repeats(self, fresh_rng):
-        samples = list(repeated_k_of_n(50, 10, 7, fresh_rng))
-        assert len(samples) == 7
-        assert all(len(sample) == 10 for sample in samples)
+    """The paper's repeated k-of-n sampling (Section 3.6), as the
+    verifier draws it through :func:`repeat_indices`."""
 
-    def test_samples_are_independent_draws(self, fresh_rng):
-        samples = list(repeated_k_of_n(1000, 100, 2, fresh_rng))
+    def test_yields_requested_repeats(self):
+        assert repeat_indices(50, 10, seed=3, repeat_ids=range(7)).shape \
+            == (7, 10)
+
+    def test_rows_hold_distinct_indices(self):
+        samples = repeat_indices(50, 10, seed=3, repeat_ids=range(7))
+        for sample in samples:
+            assert len(set(sample.tolist())) == 10
+            assert 0 <= sample.min() and sample.max() < 50
+
+    def test_samples_are_independent_draws(self):
+        samples = repeat_indices(1000, 100, seed=3, repeat_ids=[0, 1])
         # Two independent 100-of-1000 samples almost surely differ.
         assert sorted(samples[0].tolist()) != sorted(samples[1].tolist())
+        # Each row is its repeat's own draw, whatever else is drawn.
+        assert np.array_equal(
+            samples[1],
+            repeat_indices(1000, 100, seed=3, repeat_ids=[1])[0],
+        )
 
-    def test_rejects_nonpositive_repeats(self, fresh_rng):
-        with pytest.raises(ValueError):
-            list(repeated_k_of_n(10, 5, 0, fresh_rng))
+    def test_rejects_nonpositive_repeats(self):
+        table = generate_synthetic(SyntheticConfig(n_tuples=50, seed=1))
+        with pytest.raises(ValueError, match="repeats must be positive"):
+            Verifier(table, "group", "A", sample_size=10, repeats=0)
 
 
 class TestMeanAndStderr:

@@ -2,12 +2,14 @@
 
 import io
 import json
+import logging
 import re
 import socket
 import threading
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,7 +38,11 @@ from repro.serve import (
     create_server,
 )
 from repro.serve.scorer import ScoringError
-from repro.serve.service import REQUEST_ID_HEADER, PredictionHandler
+from repro.serve.service import (
+    MAX_BODY_BYTES,
+    REQUEST_ID_HEADER,
+    PredictionHandler,
+)
 
 #: What ``json.loads`` makes of a 400-digit integer literal: beyond float64.
 HUGE_INT = int("9" * 400)
@@ -732,20 +738,32 @@ class TestHTTPServer:
 
 
 # ----------------------------------------------------------------------
-# HTTP framing: the handler's own head parser against the stdlib's
+# HTTP framing: the handler's own request loop against the stdlib's
 # ----------------------------------------------------------------------
-class _StdlibParsed(PredictionHandler):
-    """The handler with the stdlib's email-based head parser: the oracle
-    the differential tests hold :meth:`PredictionHandler.parse_request`
-    to."""
+class _StdlibParsed(BaseHTTPRequestHandler):
+    """The stdlib's HTTP/1.1 handler: the oracle the differential tests
+    hold :class:`PredictionHandler` to.  It records the status of each
+    refusal, and, having no ``do_*`` methods, answers 501 to any request
+    it accepts."""
 
-    parse_request = BaseHTTPRequestHandler.parse_request
+    protocol_version = "HTTP/1.1"
+    refused = None
+
+    def send_error(self, code, message=None, explain=None):
+        self.refused = code
+        super().send_error(code, message, explain)
+
+    def log_message(self, format, *args):
+        pass  # the stdlib prints each access line to stderr
 
 
 #: The header fields the handler reads, by the lower-case names it reads
 #: them under (the stdlib's ``HTTPMessage.get`` ignores case).
 HANDLER_FIELDS = ("content-length", "connection", "expect", "accept",
                   REQUEST_ID_HEADER.lower())
+
+#: The interim answer to ``Expect: 100-continue``.
+CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
 class _RecordingWriter:
@@ -762,24 +780,10 @@ class _RecordingWriter:
         pass
 
 
-class _SendRecorder(io.RawIOBase):
-    """The raw end of a buffered socket file: keeps each send apart."""
-
-    def __init__(self, sends):
-        self.sends = sends
-
-    def writable(self):
-        return True
-
-    def write(self, data):
-        self.sends.append(bytes(data))
-        return len(data)
-
-
 class _FakeConnection:
     """A socket for ``StreamRequestHandler.setup``: reads come from
     ``raw``, and ``sends`` keeps what reaches the peer, one entry a
-    send, whether the handler's ``wfile`` is buffered or not."""
+    send."""
 
     def __init__(self, raw):
         self.raw = raw
@@ -792,14 +796,9 @@ class _FakeConnection:
         pass
 
     def makefile(self, mode, buffering):
-        if "r" in mode:
-            return io.BytesIO(self.raw)
-        return io.BufferedWriter(
-            _SendRecorder(self.sends),
-            buffering if buffering > 0 else io.DEFAULT_BUFFER_SIZE,
-        )
+        return io.BytesIO(self.raw)
 
-    def sendall(self, data):  # an unbuffered wfile's path
+    def sendall(self, data):  # the unbuffered wfile's path
         self.sends.append(bytes(data))
 
 
@@ -815,22 +814,18 @@ def _handler(handler_class, raw, service=None):
 
 
 def _status_of(wire):
-    """The status of the first answer in ``wire``: its status line, or
-    the code in the body of a bare (HTTP/0.9-style) stdlib error."""
-    match = (re.match(rb"HTTP/1\.[01] (\d{3}) ", wire)
-             or re.search(rb"Error code: (\d{3})", wire))
+    """The status on the first status line in ``wire``, if it has one."""
+    match = re.match(rb"HTTP/1\.[01] (\d{3}) ", wire)
     return int(match[1]) if match else None
 
 
-def _parsed(handler_class, raw):
-    """Everything ``parse_request`` decides about the head in ``raw``."""
-    handler = _handler(handler_class, raw)
-    handler.raw_requestline = handler.rfile.readline(65537)
-    ok = handler.parse_request()
+def _verdict(handler, ok, status):
+    """Everything a handler decided about a request head."""
     headers = getattr(handler, "headers", None)
     return {
         "ok": ok,
-        "status": _status_of(b"".join(handler.wfile.writes)),
+        "status": status,
+        "continued": b"".join(handler.wfile.writes) == CONTINUE,
         "command": handler.command,
         "path": getattr(handler, "path", None),
         "version": handler.request_version,
@@ -843,11 +838,36 @@ def _parsed(handler_class, raw):
     }
 
 
-def _answered(handler_class, raw, service):
-    """One request handled end to end in memory: the bytes written."""
-    handler = _handler(handler_class, raw, service)
+def _parsed(raw):
+    """:func:`_verdict` of the handler's own head reader on ``raw``."""
+    handler = _handler(PredictionHandler, raw)
+    try:
+        return _verdict(handler, handler._read_head(), None)
+    except ServiceError as error:
+        return _verdict(handler, False, error.status)
+
+
+def _parsed_by_stdlib(raw):
+    """:func:`_verdict` of the stdlib's ``parse_request`` on ``raw``."""
+    handler = _handler(_StdlibParsed, raw)
+    handler.raw_requestline = handler.rfile.readline(65537)
+    ok = handler.parse_request()
+    return _verdict(handler, ok, handler.refused)
+
+
+def _answered(raw, service):
+    """The connection ``raw`` opens, served in memory: the handler and
+    the bytes it wrote."""
+    handler = _handler(PredictionHandler, raw, service)
+    handler.handle()
+    return handler, b"".join(handler.wfile.writes)
+
+
+def _answered_by_stdlib(raw):
+    """One request of ``raw`` answered by the stdlib's handler."""
+    handler = _handler(_StdlibParsed, raw)
     handler.handle_one_request()
-    return b"".join(handler.wfile.writes)
+    return handler, b"".join(handler.wfile.writes)
 
 
 _TOKEN = st.text(
@@ -931,15 +951,12 @@ class TestHTTPFraming:
     @given(head=_well_formed_heads())
     def test_well_formed_heads_parse_as_the_stdlib_does(self, head):
         raw, split = head
-        ours = _parsed(PredictionHandler, raw)
-        oracle = _parsed(_StdlibParsed, raw)
+        ours = _parsed(raw)
+        oracle = _parsed_by_stdlib(raw)
         if split and oracle["ok"]:
             # The stdlib would read the fields after the CR; we refuse.
-            # (An HTTP/0.9 HEAD request gets no error page at all.)
-            assert not ours["ok"] and ours["close_connection"]
-            bare_head = (ours["command"], ours["version"]) == (
-                "HEAD", "HTTP/0.9")
-            assert ours["status"] == (None if bare_head else 400)
+            assert not ours["ok"] and ours["status"] == 400
+            assert ours["close_connection"]
         else:
             assert ours == oracle
 
@@ -964,13 +981,14 @@ class TestHTTPFraming:
             "http2", "101-fields", "65537-byte-line", "obs-fold",
             "no-colon", "first-line-from", "later-from"])
     def test_malformed_heads_get_the_stdlib_status(self, service, raw):
-        ours = _parsed(PredictionHandler, raw)
-        assert ours == _parsed(_StdlibParsed, raw)
-        wire = _answered(PredictionHandler, raw, service)
-        oracle = _answered(_StdlibParsed, raw, service)
-        assert _status_of(wire) == _status_of(oracle)
+        ours = _parsed(raw)
+        assert ours == _parsed_by_stdlib(raw)
+        _, wire = _answered(raw, service)
+        _, oracle = _answered_by_stdlib(raw)
         # An HTTP/0.9 answer is the bare body, as the stdlib sends it.
         assert wire.startswith(b"HTTP/") == oracle.startswith(b"HTTP/")
+        if not ours["ok"] and wire:
+            assert _status_of(wire) in (ours["status"], None)
 
     def test_limits_match_the_stdlib_at_the_edge(self):
         # 99 fields plus the blank line is the most the stdlib takes; a
@@ -983,8 +1001,69 @@ class TestHTTPFraming:
             b"GET / HTTP/1.1\r\nX: " + b"a" * 65531 + b"\r\n\r\n",
             b"GET / HTTP/1.1\r\nX: " + b"a" * 65532 + b"\r\n\r\n",
         ):
-            assert _parsed(PredictionHandler, raw) == _parsed(
-                _StdlibParsed, raw)
+            assert _parsed(raw) == _parsed_by_stdlib(raw)
+
+    @pytest.mark.parametrize("length", [65536, 65537])
+    def test_request_line_limit_matches_the_stdlib(self, service, length):
+        # The longest request line the stdlib reads is 65,536 bytes,
+        # CRLF included; one byte more is 414 and a closed connection.
+        line = b"GET /healthz?" + b"a" * (length - 24) + b" HTTP/1.1\r\n"
+        assert len(line) == length
+        raw = line + b"\r\n"
+        handler, wire = _answered(raw, service)
+        stdlib, oracle = _answered_by_stdlib(raw)
+        assert _status_of(wire) == (200 if length == 65536 else 414)
+        assert _status_of(oracle) == (501 if length == 65536 else 414)
+        assert handler.close_connection and stdlib.close_connection
+        assert (b"Connection: close\r\n" in wire) == (length == 65537)
+
+    @pytest.mark.parametrize("method", ["PUT", "HEAD", "DELETE"])
+    def test_other_methods_are_501_as_in_the_stdlib(self, service, method):
+        raw = method.encode() + b" /predict HTTP/1.1\r\n\r\n"
+        handler, wire = _answered(raw, service)
+        stdlib, oracle = _answered_by_stdlib(raw)
+        assert _status_of(wire) == _status_of(oracle) == 501
+        assert handler.close_connection and stdlib.close_connection
+        head, _, body = wire.partition(b"\r\n\r\n")
+        # A HEAD answer is the head alone, as the stdlib sends it.
+        assert (body == b"") == (method == "HEAD") == (
+            oracle.endswith(b"\r\n\r\n"))
+
+    def test_http09_get_is_answered_with_the_bare_body(self, service):
+        _, wire = _answered(b"GET /healthz\r\n", service)
+        assert json.loads(wire)["status"] == "ok"
+
+    def test_expect_100_continue_is_sent_before_the_body_is_read(
+            self, service):
+        body = b'{"model": "groupA", "x": 25, "y": 60000}'
+        raw = (b"POST /predict HTTP/1.1\r\nExpect: 100-continue\r\n"
+               b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        assert _parsed(raw)["continued"] and _parsed_by_stdlib(
+            raw)["continued"]
+        handler, _ = _answered(raw, service)
+        interim, answer = handler.wfile.writes
+        assert interim == CONTINUE
+        assert _status_of(answer) == 200
+
+    @pytest.mark.parametrize("length", [
+        str(MAX_BODY_BYTES + 1), "1000000000000", "9" * 5000,
+    ], ids=["bound-plus-one", "terabyte", "5000-digits"])
+    def test_a_body_over_the_bound_is_413_before_it_is_read(
+            self, service, length):
+        raw = (b"POST /predict_batch HTTP/1.1\r\nExpect: 100-continue\r\n"
+               b"Content-Length: " + length.encode() + b"\r\n\r\n{}")
+        parsed = _parsed(raw)
+        assert parsed["status"] == 413 and parsed["close_connection"]
+        # No "100 Continue": the client need not send the body at all.
+        assert not parsed["continued"] and parsed["rest"] == b"{}"
+        _, wire = _answered(raw, service)
+        assert _status_of(wire) == 413
+        assert b"Connection: close\r\n" in wire
+
+    def test_a_body_at_the_bound_is_accepted(self):
+        parsed = _parsed(b"POST /predict HTTP/1.1\r\nContent-Length: "
+                         b"%d\r\n\r\n" % MAX_BODY_BYTES)
+        assert parsed["ok"] and parsed["status"] is None
 
     @pytest.mark.parametrize("fields", [
         b"Content-Length: 7\r\nContent-Length: 8\r\n",
@@ -1012,8 +1091,7 @@ class TestHTTPFraming:
         assert b"Connection: close\r\n" in reply
 
     def test_equal_repeated_content_length_is_accepted(self):
-        parsed = _parsed(PredictionHandler,
-                         b"POST /predict HTTP/1.1\r\nContent-Length: 2\r\n"
+        parsed = _parsed(b"POST /predict HTTP/1.1\r\nContent-Length: 2\r\n"
                          b"Content-Length: 2\r\n\r\n{}")
         assert parsed["ok"] and parsed["fields"]["content-length"] == "2"
 
@@ -1026,9 +1104,9 @@ class TestHTTPFraming:
     def test_an_unread_body_closes_the_connection(self, service, raw):
         # The body is never read; kept alive, its bytes would be parsed
         # as a second request (here a 404 for /nope).
-        handler = _handler(PredictionHandler, raw, service)
-        handler.handle_one_request()
-        assert b"".join(handler.wfile.writes).count(b"HTTP/1.1 ") == 1
+        handler, wire = _answered(raw, service)
+        assert wire.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close\r\n" in wire
         assert handler.close_connection
 
     def test_predict_answer_is_one_write(self, service):
@@ -1043,21 +1121,38 @@ class TestHTTPFraming:
         handler.client_address = ("127.0.0.1", 0)
         handler.server = SimpleNamespace(service=service)
         handler.setup()
-        handler.handle_one_request()
-        # Sent whole before the next request is read, not at close.
+        # Kept alive, and sent whole before the next request is read.
+        assert handler._handle_one()
         (wire,) = connection.sends
         head, _, payload = wire.partition(b"\r\n\r\n")
         lines = head.decode("latin-1").split("\r\n")
         assert lines[0] == "HTTP/1.1 200 OK"
         fields = dict(line.split(": ", 1) for line in lines[1:])
-        assert list(fields) == ["Server", "Date", "Content-Type",
-                                "Content-Length", REQUEST_ID_HEADER]
-        assert fields["Server"] == handler.version_string()
+        assert list(fields) == ["Date", "Content-Type", "Content-Length",
+                                REQUEST_ID_HEADER]
+        assert parsedate_to_datetime(fields["Date"]).tzinfo is not None
         assert fields["Content-Type"] == "application/json"
         assert fields["Content-Length"] == str(len(payload))
         assert fields[REQUEST_ID_HEADER] == "one-write-1"
         assert json.loads(payload)["in_segment"] is True
-        assert not handler.close_connection
+
+    def test_every_answer_carries_a_date(self, service):
+        for raw in (b"GET /healthz HTTP/1.1\r\n\r\n",
+                    b"GET /nope HTTP/1.1\r\n\r\n",
+                    b"PUT / HTTP/1.1\r\n\r\n",
+                    b"GET / HTTP/1.1\r\nTransfer-Encoding: x\r\n\r\n"):
+            _, wire = _answered(raw, service)
+            assert re.search(rb"\r\nDate: \w{3}, \d\d \w{3} \d{4} "
+                             rb"\d\d:\d\d:\d\d GMT\r\n", wire), wire
+
+    def test_answers_log_an_access_line_at_info(self, service, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.serve.service"):
+            _answered(b"GET /healthz HTTP/1.1\r\n\r\n"
+                      b"GET /healthz HTTP/2.0\r\n\r\n", service)
+        assert [record.getMessage() for record in caplog.records] == [
+            '127.0.0.1 "GET /healthz HTTP/1.1" 200',
+            '127.0.0.1 "GET /healthz HTTP/2.0" 505',
+        ]
 
 
 def _read_answer(reader):
@@ -1121,6 +1216,50 @@ class TestHTTPFramingOverSockets:
         assert first[0] == 200 and json.loads(first[2])["in_segment"]
         assert second[0] == 200
         assert json.loads(second[2])["status"] == "ok"
+
+    def test_a_thousand_predicts_on_one_connection(self, server):
+        body = b'{"model": "groupA", "x": 25, "y": 60000}'
+        request = (b"POST /predict HTTP/1.1\r\nHost: x\r\n"
+                   b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as conn:
+            reader = conn.makefile("rb")
+            for _ in range(1000):
+                conn.sendall(request)
+                status, fields, payload = _read_answer(reader)
+                assert status == 200 and "connection" not in fields
+                assert json.loads(payload)["in_segment"]
+
+    def test_a_huge_content_length_is_413_and_the_server_lives(self,
+                                                               server):
+        # Read, a declared 1 TB body raises MemoryError, which would end
+        # the handler thread without an answer.
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=5) as conn:
+            conn.sendall(b"POST /predict_batch HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 1000000000000\r\n\r\n{}")
+            reader = conn.makefile("rb")
+            status, fields, payload = _read_answer(reader)
+            assert reader.read() == b""  # the server closed
+        assert status == 413 and fields["connection"] == "close"
+        assert str(MAX_BODY_BYTES) in json.loads(payload)["error"]
+        assert _get(server, "/healthz")[0] == 200
+
+    def test_an_escaped_exception_goes_to_the_logger(self, server,
+                                                     monkeypatch, caplog):
+        def broken(endpoint, payload):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server.service, "dispatch", broken)
+        host, port = server.server_address[:2]
+        with caplog.at_level(logging.ERROR, logger="repro.serve.service"):
+            with socket.create_connection((host, port), timeout=5) as conn:
+                conn.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                # Closed with no answer, after handle_error ran.
+                assert conn.recv(4096) == b""
+        (record,) = caplog.records
+        assert record.exc_info[0] is RuntimeError
+        assert record.getMessage() == "unhandled error serving 127.0.0.1"
 
 
 # ----------------------------------------------------------------------
