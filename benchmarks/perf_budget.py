@@ -47,6 +47,8 @@ import time
 from functools import lru_cache
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from time import perf_counter
+from typing import Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if not any(
@@ -87,7 +89,6 @@ from repro.data.schema import (  # noqa: E402
     quantitative,
 )
 from repro.mining.engine import rule_grid, rule_measures  # noqa: E402
-from repro.obs.timing import best_of  # noqa: E402
 from repro.perf import reference  # noqa: E402
 from repro.persistence import save_segmentation  # noqa: E402
 from repro.serve.registry import ModelRegistry  # noqa: E402
@@ -140,6 +141,30 @@ def _sizes(quick: bool) -> dict[str, int]:
     return {name: pair[1 if quick else 0] for name, pair in SIZES.items()}
 
 
+def _best_of(fn: Callable[[], object], trials: int = 5,
+             number: int = 1) -> float:
+    """Best wall time of ``fn`` in seconds per call.
+
+    Runs ``trials`` batches of ``number`` back-to-back calls and returns
+    the fastest batch divided by ``number``.  No warm-up is added —
+    callers that need one (first-call JIT/cache effects) run ``fn`` once
+    beforehand.
+    """
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    if number <= 0:
+        raise ValueError("number must be positive")
+    best = None
+    for _ in range(trials):
+        started = perf_counter()
+        for _ in range(number):
+            fn()
+        elapsed = perf_counter() - started
+        if best is None or elapsed < best:
+            best = elapsed
+    return best / number
+
+
 # ----------------------------------------------------------------------
 # Benchmarks.  Each returns a result dict with scalar/vectorized seconds
 # after asserting both implementations agree.
@@ -182,8 +207,8 @@ def bench_binner(n: int, trials: int) -> dict:
         "name": "binner",
         "n": n,
         "unit": "tuples",
-        "scalar_seconds": best_of(scalar, trials=trials),
-        "vectorized_seconds": best_of(vectorized, trials=trials),
+        "scalar_seconds": _best_of(scalar, trials=trials),
+        "vectorized_seconds": _best_of(vectorized, trials=trials),
     }
 
 
@@ -243,10 +268,10 @@ def bench_verifier(n: int, trials: int) -> dict:
         "name": "verifier",
         "n": n,
         "unit": "tuples",
-        "scalar_seconds": best_of(scalar, trials=trials),
-        "vectorized_seconds": best_of(vectorized, trials=trials,
-                                      number=20),
-        "construction_seconds": best_of(construct, trials=trials),
+        "scalar_seconds": _best_of(scalar, trials=trials),
+        "vectorized_seconds": _best_of(vectorized, trials=trials,
+                                       number=20),
+        "construction_seconds": _best_of(construct, trials=trials),
     }
 
 
@@ -272,9 +297,9 @@ def bench_smoothing(n: int, trials: int) -> dict:
         "name": "smoothing",
         "n": n,
         "unit": "tuples",
-        "scalar_seconds": best_of(scalar, trials=trials, number=50),
-        "vectorized_seconds": best_of(vectorized, trials=trials,
-                                      number=200),
+        "scalar_seconds": _best_of(scalar, trials=trials, number=50),
+        "vectorized_seconds": _best_of(vectorized, trials=trials,
+                                       number=200),
     }
 
 
@@ -295,8 +320,8 @@ def bench_bitop_masks(n: int, trials: int) -> dict:
         "name": "bitop_masks",
         "n": n,
         "unit": "grid side",
-        "scalar_seconds": best_of(scalar, trials=trials),
-        "vectorized_seconds": best_of(vectorized, trials=trials),
+        "scalar_seconds": _best_of(scalar, trials=trials),
+        "vectorized_seconds": _best_of(vectorized, trials=trials),
     }
 
 
@@ -343,8 +368,8 @@ def bench_scorer(n: int, trials: int) -> dict:
         "name": "scorer",
         "n": n,
         "unit": "tuples",
-        "scalar_seconds": best_of(scalar, trials=trials),
-        "vectorized_seconds": best_of(vectorized, trials=trials),
+        "scalar_seconds": _best_of(scalar, trials=trials),
+        "vectorized_seconds": _best_of(vectorized, trials=trials),
     }
 
 
@@ -373,9 +398,9 @@ def bench_scorer_point(n: int, trials: int) -> dict:
         "name": "scorer_point",
         "n": 1,
         "unit": "tuples",
-        "scalar_seconds": best_of(scalar, trials=trials, number=1000),
-        "vectorized_seconds": best_of(vectorized, trials=trials,
-                                      number=1000),
+        "scalar_seconds": _best_of(scalar, trials=trials, number=1000),
+        "vectorized_seconds": _best_of(vectorized, trials=trials,
+                                       number=1000),
     }
 
 
@@ -432,8 +457,8 @@ def bench_incremental(n: int, trials: int) -> dict:
         "name": "incremental",
         "n": n,
         "unit": "window tuples",
-        "scalar_seconds": best_of(scalar, trials=trials),
-        "vectorized_seconds": best_of(vectorized, trials=trials),
+        "scalar_seconds": _best_of(scalar, trials=trials),
+        "vectorized_seconds": _best_of(vectorized, trials=trials),
     }
 
 
@@ -469,8 +494,8 @@ def bench_merge(n: int, trials: int) -> dict:
         "name": "merge",
         "n": n,
         "unit": "grid side",
-        "scalar_seconds": best_of(scalar, trials=trials),
-        "vectorized_seconds": best_of(vectorized, trials=trials),
+        "scalar_seconds": _best_of(scalar, trials=trials),
+        "vectorized_seconds": _best_of(vectorized, trials=trials),
     }
 
 
@@ -492,8 +517,8 @@ def bench_bitop_cover(n: int, trials: int) -> dict:
         "name": "bitop_cover",
         "n": n,
         "unit": "grid side",
-        "scalar_seconds": best_of(scalar, trials=trials),
-        "vectorized_seconds": best_of(vectorized, trials=trials),
+        "scalar_seconds": _best_of(scalar, trials=trials),
+        "vectorized_seconds": _best_of(vectorized, trials=trials),
     }
 
 
@@ -543,9 +568,9 @@ def bench_trial(n: int, trials: int) -> dict:
         "name": "trial",
         "n": n,
         "unit": "tuples",
-        "scalar_seconds": best_of(scalar, trials=trials),
-        "vectorized_seconds": best_of(vectorized, trials=trials,
-                                      number=10),
+        "scalar_seconds": _best_of(scalar, trials=trials),
+        "vectorized_seconds": _best_of(vectorized, trials=trials,
+                                       number=10),
     }
 
 
@@ -628,8 +653,8 @@ def bench_http_roundtrip(n: int, trials: int) -> dict:
             assert answer["rule"] == (expected if expected >= 0
                                       else None), "/predict differs"
             assert stdlib_trip() == _ConstantHandler.answer
-            stdlib_seconds = best_of(stdlib_trip, trials=trials, number=n)
-            arcs_seconds = best_of(arcs_trip, trials=trials, number=n)
+            stdlib_seconds = _best_of(stdlib_trip, trials=trials, number=n)
+            arcs_seconds = _best_of(arcs_trip, trials=trials, number=n)
             process, thread = time.process_time(), time.thread_time()
             for _ in range(n):
                 arcs_trip()
@@ -675,7 +700,7 @@ def bench_fit(n: int, trials: int) -> dict:
         return ARCS(FIT_CONFIG).fit(table, "age", "salary", "group", "A")
 
     untraced = fit()
-    seconds = best_of(fit, trials=trials)
+    seconds = _best_of(fit, trials=trials)
     obs.enable()
     try:
         traced = fit()

@@ -28,6 +28,8 @@ def test_repeated_sampling_beats_single_sample(benchmark):
     )
     segmentation = result.segmentation
     exact = Verifier(table, "group", "A").exact_error_rate(segmentation)
+    bin_array = result.outcome.bin_array
+    rects = result.outcome.pruning.kept
 
     def rmse(repeats: int) -> float:
         errors = []
@@ -36,7 +38,9 @@ def test_repeated_sampling_beats_single_sample(benchmark):
                 table, "group", "A", sample_size=SAMPLE_SIZE,
                 repeats=repeats, seed=seed,
             )
-            estimate = verifier.verify(segmentation).error_rate
+            estimate = verifier.verify_rects(
+                bin_array.x_layout, bin_array.y_layout, rects
+            ).error_rate
             errors.append((estimate - exact) ** 2)
         return float(np.sqrt(np.mean(errors)))
 

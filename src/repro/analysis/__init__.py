@@ -1,12 +1,13 @@
 """Analysis utilities around ARCS output.
 
-* :mod:`repro.analysis.segmentation` — the segmentation object (all
-  clustered rules for one criterion value) and its region algebra.
 * :mod:`repro.analysis.accuracy` — the exact, area-based
   false-positive/false-negative analysis of paper Figure 9, available when
   the generating function's true regions are known.
 * :mod:`repro.analysis.selection` — entropy/information-gain and principal
   component attribute selection (paper Sections 1 and 5).
+
+The segmentation object itself is core API:
+:class:`repro.core.segmentation.Segmentation`.
 """
 
 from repro.analysis.accuracy import RegionErrorReport, exact_region_error
@@ -16,7 +17,6 @@ from repro.analysis.calibration import (
     label_noise_rate,
 )
 from repro.analysis.report import evaluation_report
-from repro.core.segmentation import Segmentation
 from repro.analysis.selection import (
     information_gain,
     principal_components,
@@ -24,7 +24,6 @@ from repro.analysis.selection import (
 )
 
 __all__ = [
-    "Segmentation",
     "ErrorDecomposition",
     "decompose_error",
     "label_noise_rate",

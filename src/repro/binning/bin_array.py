@@ -71,10 +71,6 @@ class BinArray:
     def single_target(self) -> bool:
         return self.target_code is not None
 
-    def memory_cells(self) -> int:
-        """Number of stored counters (the paper's memory footprint)."""
-        return int(self.counts.size + self.totals.size)
-
     # ------------------------------------------------------------------
     # Accumulation (one streaming pass) and expiry (windowed streams)
     # ------------------------------------------------------------------
@@ -227,33 +223,6 @@ class BinArray:
         if self.n_total == 0:
             return np.zeros((self.n_x, self.n_y))
         return self.count_grid(rhs_code) / float(self.n_total)
-
-    def confidence_grid(self, rhs_code: int) -> np.ndarray:
-        """Per-cell confidence for one RHS value (0 where the cell is
-        empty)."""
-        counts = self.count_grid(rhs_code).astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            confidence = np.where(
-                self.totals > 0, counts / self.totals, 0.0
-            )
-        return confidence
-
-    def cell_support(self, i: int, j: int, rhs_code: int) -> float:
-        """Support of the rule ``X=i AND Y=j => C=code`` (paper Fig 3)."""
-        if self.n_total == 0:
-            return 0.0
-        return float(self.count_grid(rhs_code)[i, j]) / self.n_total
-
-    def cell_confidence(self, i: int, j: int, rhs_code: int) -> float:
-        """Confidence of the rule ``X=i AND Y=j => C=code``."""
-        total = int(self.totals[i, j])
-        if total == 0:
-            return 0.0
-        return float(self.count_grid(rhs_code)[i, j]) / total
-
-    def occupied_cells(self, rhs_code: int) -> int:
-        """Number of cells with at least one tuple of the RHS value."""
-        return int(np.count_nonzero(self.count_grid(rhs_code)))
 
     # ------------------------------------------------------------------
     # Threshold enumeration (paper Figure 10)

@@ -3,7 +3,7 @@
 "For categorical attributes we also map the attribute values to a set of
 consecutive integers and use these integers in place of the categorical
 values."  The mapping happens before mining so the rule engine only ever
-sees integer codes; this module owns that bijection and its inverse.
+sees integer codes; this module owns that bijection.
 
 A :class:`~repro.data.schema.Table` already stores each categorical
 column as codes into its domain, so encoding a column is a domain-sized
@@ -16,7 +16,7 @@ The per-value loop it replaced is kept as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 import numpy as np
 
@@ -27,8 +27,9 @@ from repro.data.schema import CategoricalColumn
 class CategoricalEncoding:
     """A bijection between categorical values and codes ``0..n-1``.
 
-    The value order is the declared domain order (or first-seen order when
-    built from data), so codes are stable for a fixed schema.
+    The value order is the table's domain order
+    (:meth:`~repro.data.schema.Table.categorical_values`), so codes are
+    stable for a fixed schema.
     """
 
     attribute: str
@@ -45,16 +46,6 @@ class CategoricalEncoding:
                 f"duplicate values in encoding for {self.attribute!r}"
             )
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_values(cls, attribute: str,
-                    observed: Sequence[Hashable]) -> "CategoricalEncoding":
-        """Build an encoding from observed data in first-seen order."""
-        seen: dict = {}
-        for value in observed:
-            if value not in seen:
-                seen[value] = len(seen)
-        return cls(attribute, tuple(seen))
 
     @property
     def cardinality(self) -> int:
@@ -89,7 +80,3 @@ class CategoricalEncoding:
         if not isinstance(values, CategoricalColumn):
             values = CategoricalColumn.from_values(values)
         return values.codes_in(self.values, self.attribute)
-
-    def decode(self, codes: Sequence[int]) -> list:
-        """Map integer codes back to values."""
-        return [self.values[int(code)] for code in codes]

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.rules import BinnedRule, GridRect
+from repro.core.rules import GridRect
 
 
 @dataclass
@@ -38,20 +38,6 @@ class RuleGrid:
     @classmethod
     def empty(cls, n_x: int, n_y: int) -> "RuleGrid":
         return cls(np.zeros((n_x, n_y), dtype=bool))
-
-    @classmethod
-    def from_rules(cls, rules: Iterable[BinnedRule], n_x: int,
-                   n_y: int) -> "RuleGrid":
-        """Plot binned rules onto an ``n_x`` by ``n_y`` grid."""
-        grid = cls.empty(n_x, n_y)
-        for rule in rules:
-            if rule.x_bin >= n_x or rule.y_bin >= n_y:
-                raise ValueError(
-                    f"rule cell ({rule.x_bin}, {rule.y_bin}) outside "
-                    f"{n_x}x{n_y} grid"
-                )
-            grid.cells[rule.x_bin, rule.y_bin] = True
-        return grid
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], n_x: int,
@@ -89,9 +75,6 @@ class RuleGrid:
         """Number of set cells."""
         return int(self.cells.sum())
 
-    def is_empty(self) -> bool:
-        return not self.cells.any()
-
     def set_pairs(self) -> list[tuple[int, int]]:
         """The set cells as sorted ``(x, y)`` pairs of Python ints."""
         rows, cols = np.nonzero(self.cells)
@@ -127,50 +110,9 @@ class RuleGrid:
                     for row, word in zip(rows, words[:, k].tolist())]
         return rows
 
-    @classmethod
-    def from_row_bitmaps(cls, rows: Sequence[int], n_y: int) -> "RuleGrid":
-        """Inverse of :meth:`row_bitmaps`."""
-        n_bytes = (n_y + 7) // 8
-        if not rows or n_bytes == 0:
-            return cls(np.zeros((len(rows), n_y), dtype=bool))
-        try:
-            data = b"".join(
-                int(row).to_bytes(n_bytes, "little") for row in rows
-            )
-        except OverflowError:
-            raise ValueError(
-                f"row bitmap has bits beyond column {n_y - 1}"
-            ) from None
-        packed = np.frombuffer(data, dtype=np.uint8)
-        cells = np.unpackbits(
-            packed.reshape(len(rows), n_bytes), axis=1,
-            count=n_y, bitorder="little",
-        )
-        return cls(cells.astype(bool))
-
     # ------------------------------------------------------------------
     # Rectangle operations
     # ------------------------------------------------------------------
-    def covers(self, rect: GridRect) -> bool:
-        """Whether every cell of ``rect`` is set."""
-        block = self.cells[
-            rect.x_lo:rect.x_hi + 1, rect.y_lo:rect.y_hi + 1
-        ]
-        return bool(block.all())
-
-    def clear_rect(self, rect: GridRect) -> None:
-        """Clear the cells of ``rect`` in place (greedy cover step)."""
-        self.cells[rect.x_lo:rect.x_hi + 1, rect.y_lo:rect.y_hi + 1] = False
-
     def set_rect(self, rect: GridRect) -> None:
         """Set the cells of ``rect`` in place (test fixture helper)."""
         self.cells[rect.x_lo:rect.x_hi + 1, rect.y_lo:rect.y_hi + 1] = True
-
-    def fraction_covered_by(self, rects: Iterable[GridRect]) -> float:
-        """Fraction of set cells covered by the rectangles."""
-        if self.is_empty():
-            return 1.0
-        covered = np.zeros_like(self.cells)
-        for rect in rects:
-            covered[rect.x_lo:rect.x_hi + 1, rect.y_lo:rect.y_hi + 1] = True
-        return float((self.cells & covered).sum()) / float(self.n_set)

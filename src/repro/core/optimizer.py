@@ -180,10 +180,6 @@ class OptimizerResult:
     run_report: RunReport | None = None
 
     @property
-    def n_trials(self) -> int:
-        return len(self.history)
-
-    @property
     def trials_after_best(self) -> int:
         """Trials the search ran after its winning trial: the search
         that a stop at the winner would have saved."""

@@ -13,8 +13,6 @@ bounds with the half-open convention the binner uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 
@@ -35,27 +33,11 @@ class Interval:
         if not self.low < self.high:
             raise ValueError(f"empty interval [{self.low}, {self.high})")
 
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
     def contains(self, values) -> np.ndarray:
         """Vectorised membership test."""
         values = np.asarray(values, dtype=np.float64)
         upper = values <= self.high if self.closed_high else values < self.high
         return (values >= self.low) & upper
-
-    def overlaps(self, other: "Interval") -> bool:
-        """Whether the two intervals share any points (treating both as
-        half-open for the test; a shared endpoint only counts when the
-        lower interval is closed above)."""
-        if self.high < other.low or other.high < self.low:
-            return False
-        if self.high == other.low:
-            return self.closed_high
-        if other.high == self.low:
-            return other.closed_high
-        return True
 
     def intersect(self, other: "Interval") -> "Interval | None":
         """The overlapping sub-interval, or ``None`` when disjoint."""
@@ -69,16 +51,7 @@ class Interval:
         )
         return Interval(low, high, closed_high=closed)
 
-    def hull(self, other: "Interval") -> "Interval":
-        """The smallest interval containing both."""
-        high = max(self.high, other.high)
-        closed = (
-            self.closed_high if self.high >= other.high else False
-        ) or (other.closed_high if other.high >= self.high else False)
-        return Interval(min(self.low, other.low), high, closed_high=closed)
-
     def __str__(self) -> str:
-        upper = "<=" if self.closed_high else "<"
         return f"[{self.low:g}, {self.high:g}{']' if self.closed_high else ')'}"
 
     def describe(self, attribute: str) -> str:
@@ -141,27 +114,6 @@ class GridRect:
 
     def contains_cell(self, x: int, y: int) -> bool:
         return self.x_lo <= x <= self.x_hi and self.y_lo <= y <= self.y_hi
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """Iterate the covered ``(x, y)`` cells."""
-        for x in range(self.x_lo, self.x_hi + 1):
-            for y in range(self.y_lo, self.y_hi + 1):
-                yield x, y
-
-    def overlaps(self, other: "GridRect") -> bool:
-        return not (
-            self.x_hi < other.x_lo or other.x_hi < self.x_lo
-            or self.y_hi < other.y_lo or other.y_hi < self.y_lo
-        )
-
-    def intersect(self, other: "GridRect") -> "GridRect | None":
-        """The overlapping sub-rectangle, or ``None`` when disjoint."""
-        if not self.overlaps(other):
-            return None
-        return GridRect(
-            max(self.x_lo, other.x_lo), min(self.x_hi, other.x_hi),
-            max(self.y_lo, other.y_lo), min(self.y_hi, other.y_hi),
-        )
 
     def union_bounding(self, other: "GridRect") -> "GridRect":
         """The bounding box of both rectangles."""

@@ -95,16 +95,6 @@ class Segmentation:
             table.column(self.x_attribute), table.column(self.y_attribute)
         )
 
-    def predict_labels(self, table: Table, other_label) -> np.ndarray:
-        """Label rows: the criterion value inside the segment, ``other``
-        outside — the segmentation used as a one-vs-rest classifier, which
-        is how the paper compares against C4.5."""
-        covered = self.covers_table(table)
-        labels = np.empty(len(table), dtype=object)
-        labels[covered] = self.rhs_value
-        labels[~covered] = other_label
-        return labels
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
@@ -116,8 +106,3 @@ class Segmentation:
                 f"{self.rhs_value})"
             )
         return "\n".join(str(rule) for rule in self.rules)
-
-    def total_support(self) -> float:
-        """Sum of the rules' supports (rules are disjoint rectangles in a
-        greedy cover, so this approximates the segment's total support)."""
-        return float(sum(rule.support for rule in self.rules))

@@ -18,11 +18,7 @@ The samples are drawn **once per verifier**: repeat ``r``'s indices are
 a pure function of ``(seed, r, n, k)``
 (:func:`repro.data.sampling.repeat_indices`), so construction gathers
 the ``(repeats, k)`` target mask up front, and each LHS column the first
-time a segmentation names it.  A :meth:`Verifier.verify` call then
-covers only those ``repeats * k`` points — its cost does not grow with
-the table.  Coverage and target membership are element-wise, so the
-report equals the one a full-table pass followed by a gather gives
-(:func:`repro.perf.reference.verify_scalar`).
+time a pair of bin layouts names it.
 
 An optimizer trial's segmentation is a set of grid rectangles, and
 :meth:`Verifier.verify_rects` scores it without translating them to
@@ -34,8 +30,9 @@ samples per cell and repeat.  A rule's intervals are
 ``[edges[x_lo], edges[x_hi+1])``, closed at the last bin, and the edges
 strictly increase, so a tuple lies in the rule exactly when its cell
 lies in the rectangle: a trial's counts are two dot products with the
-rectangles' cell mask, and the report equals :meth:`Verifier.verify`
-on the rules the rectangles translate to.
+rectangles' cell mask, and its cost does not grow with the table.  The
+report equals a full-table pass over the rules the rectangles translate
+to, followed by a gather (:func:`repro.perf.reference.verify_scalar`).
 """
 
 from __future__ import annotations
@@ -176,7 +173,7 @@ class Verifier:
 
     def _sample_column(self, name: str) -> np.ndarray:
         """The ``(repeats, k)`` sample of one LHS column, gathered the
-        first time a segmentation names it."""
+        first time a pair of layouts names it."""
         column = self._sample_columns.get(name)
         if column is None:
             column = np.asarray(
@@ -215,23 +212,9 @@ class Verifier:
             self._cell_counts[key] = cached
         return cached
 
-    def verify(self, segmentation: Segmentation) -> VerificationReport:
-        """Estimate the segmentation's error by repeated sampling."""
-        with trace("verify", sample_size=self.sample_size,
-                   repeats=self.repeats) as span:
-            covered = segmentation.covers(
-                self._sample_column(segmentation.x_attribute),
-                self._sample_column(segmentation.y_attribute),
-            )
-            is_target = self._sample_target
-            fp_counts = np.count_nonzero(covered & ~is_target, axis=1)
-            fn_counts = np.count_nonzero(~covered & is_target, axis=1)
-            return _report(span, fp_counts.tolist(), fn_counts.tolist(),
-                           len(segmentation), self.sample_size)
-
     def verify_rects(self, x_layout: BinLayout, y_layout: BinLayout,
                      rects: Sequence[GridRect]) -> VerificationReport:
-        """:meth:`verify` for the segmentation whose rules span
+        """Estimate the error of the segmentation whose rules span
         ``rects`` on the grid of ``x_layout`` by ``y_layout``, counted
         on the samples' exact cells (see the module docstring)."""
         return self.sample_cells(x_layout, y_layout).verify_rects(

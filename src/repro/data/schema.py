@@ -29,7 +29,7 @@ return new tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -276,7 +276,7 @@ def _as_column(spec: AttributeSpec, values):
 class Table:
     """A column-major table with a declared schema.
 
-    Construct with :meth:`from_columns` or :meth:`from_rows`; the bare
+    Construct with :meth:`from_columns`; the bare
     constructor assumes already-coerced stores of equal length.
 
     Attributes
@@ -327,25 +327,10 @@ class Table:
             coerced[name] = _as_column(spec, columns[name])
         return cls(schema=schema, columns=coerced)
 
-    @classmethod
-    def from_rows(cls, specs: Sequence[AttributeSpec],
-                  rows: Iterable[Mapping]) -> "Table":
-        """Build a table from an iterable of per-row mappings."""
-        names = [spec.name for spec in specs]
-        buffers: dict[str, list] = {name: [] for name in names}
-        for row in rows:
-            for name in names:
-                buffers[name].append(row[name])
-        return cls.from_columns(specs, buffers)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._n_rows
-
-    @property
-    def n_rows(self) -> int:
         return self._n_rows
 
     @property
@@ -422,27 +407,9 @@ class Table:
         columns = {name: col[index_array] for name, col in self.columns.items()}
         return Table(schema=dict(self.schema), columns=columns)
 
-    def where(self, mask: np.ndarray) -> "Table":
-        """Return a new table with the rows where boolean ``mask`` is true."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self._n_rows,):
-            raise SchemaError(
-                f"mask shape {mask.shape} does not match {self._n_rows} rows"
-            )
-        columns = {name: col[mask] for name, col in self.columns.items()}
-        return Table(schema=dict(self.schema), columns=columns)
-
     def head(self, n: int) -> "Table":
         """Return the first ``n`` rows."""
         return self.take(np.arange(min(n, self._n_rows)))
-
-    def sample(self, k: int, rng: np.random.Generator) -> "Table":
-        """Return ``k`` rows sampled uniformly without replacement."""
-        if k > self._n_rows:
-            raise SchemaError(
-                f"cannot sample {k} rows from a table of {self._n_rows}"
-            )
-        return self.take(rng.choice(self._n_rows, size=k, replace=False))
 
     def with_column(self, spec: AttributeSpec, values: Sequence) -> "Table":
         """Return a new table with column ``spec.name`` added or replaced."""
@@ -506,10 +473,3 @@ class Table:
                 name: col[start:stop] for name, col in self.columns.items()
             }
             yield Table(schema=dict(self.schema), columns=columns)
-
-    def iter_rows(self) -> Iterator[dict]:
-        """Yield rows as dicts (slow; for tests and small tables only)."""
-        names = self.attribute_names
-        arrays = [self.column(name) for name in names]
-        for i in range(self._n_rows):
-            yield {name: array[i] for name, array in zip(names, arrays)}

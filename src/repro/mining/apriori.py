@@ -132,22 +132,3 @@ class AprioriMiner:
             rule for rule in self.mine(min_support, min_confidence)
             if rule.rhs == frozenset([rhs_item])
         ]
-
-
-def table_transactions(columns: dict) -> list[frozenset]:
-    """Turn column arrays into ``(attribute, value)``-item transactions.
-
-    The generalisation of market baskets to record data from the paper's
-    introduction: each tuple becomes the set of its ``attribute = value``
-    items.
-    """
-    names = list(columns)
-    if not names:
-        return []
-    length = len(columns[names[0]])
-    transactions = []
-    for i in range(length):
-        transactions.append(
-            frozenset((name, columns[name][i]) for name in names)
-        )
-    return transactions

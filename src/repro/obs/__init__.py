@@ -17,7 +17,7 @@ Layered on top of those three:
   Prometheus text exposition format (and ships a tiny validating
   parser for tests and smoke jobs);
 * :mod:`repro.obs.events` — structured JSONL event logs with
-  deterministic sampling and size-capped rotation;
+  size-capped rotation;
 * :mod:`repro.obs.trace_export` — span trees as Chrome trace-event
   JSON, loadable in Perfetto;
 * :mod:`repro.obs.profiler` — a stdlib sampling profiler emitting
@@ -46,7 +46,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SamplingProfiler
 from repro.obs.prometheus import parse_prometheus, render_prometheus
 from repro.obs.report import RunCapture, RunReport, config_fingerprint
-from repro.obs.timing import best_of
 from repro.obs.trace_export import chrome_trace, write_chrome_trace
 from repro.obs.tracing import Span, current_span, trace
 
@@ -57,7 +56,6 @@ __all__ = [
     "RunReport",
     "SamplingProfiler",
     "Span",
-    "best_of",
     "chrome_trace",
     "config_fingerprint",
     "current_span",

@@ -55,9 +55,6 @@ METRICS: dict[str, tuple[str, str]] = {
     'obs.events_emitted':
         ('counter',
          'events written to the JSONL event sink'),
-    'obs.events_sampled_out':
-        ('counter',
-         "events dropped by the sink's deterministic sampling"),
     'obs.profile_samples':
         ('counter',
          'stacks collected by the sampling profiler'),

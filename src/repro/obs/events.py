@@ -18,16 +18,10 @@ the same value the client saw in the ``X-Arcs-Request-Id`` response
 header, which makes an access-log line, a ``drift_alert`` and a
 ``shed`` event for one request greppable as a unit.
 
-:class:`EventSink` owns one output file with two safety valves for
-long-lived serving processes:
-
-* **sampling** — ``sample_every=N`` keeps every N-th event *per event
-  type* (deterministic counter-based sampling: no RNG, so two runs of
-  the same workload log the same lines); dropped events bump the
-  ``obs.events_sampled_out`` counter so the loss is visible;
-* **size-capped rotation** — when the file would exceed ``max_bytes``
-  it is rotated to ``<path>.1`` (shifting older generations up to
-  ``backups``), so an unattended server cannot fill the disk.
+:class:`EventSink` owns one output file and rotates it at a size cap:
+when the file would exceed ``max_bytes`` it is rotated to ``<path>.1``
+(shifting older generations up to ``backups``), so an unattended
+long-lived server cannot fill the disk.
 
 Like the rest of :mod:`repro.obs`, the module-level :func:`emit` is a
 no-op (one global read) until :func:`enable_events` installs a sink —
@@ -107,33 +101,28 @@ def worker_identity() -> int | None:
 
 
 class EventSink:
-    """A thread-safe, size-capped, sampling JSONL event writer."""
+    """A thread-safe, size-capped JSONL event writer."""
 
-    def __init__(self, path: str | Path, sample_every: int = 1,
+    def __init__(self, path: str | Path,
                  max_bytes: int = DEFAULT_MAX_BYTES, backups: int = 1):
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         if max_bytes < 1024:
             raise ValueError("max_bytes must be at least 1 KiB")
         if backups < 0:
             raise ValueError("backups cannot be negative")
         self.path = Path(path)
-        self.sample_every = sample_every
         self.max_bytes = max_bytes
         self.backups = backups
         self._lock = threading.Lock()
-        self._seen: dict[str, int] = {}
         self._handle = open(self.path, "a", encoding="utf-8")
         self._size = self.path.stat().st_size
         self.emitted = 0
-        self.sampled_out = 0
         self.rotations = 0
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    def emit(self, event_type: str, **fields) -> bool:
-        """Write one event; returns ``False`` when sampled out.
+    def emit(self, event_type: str, **fields) -> None:
+        """Write one event.
 
         ``ts`` (wall-clock seconds, for correlating with external logs),
         ``type``, ``pid`` and — when set — ``worker``/``request_id``
@@ -142,12 +131,6 @@ class EventSink:
         Explicit keyword fields win over the automatic ones.
         """
         with self._lock:
-            seen = self._seen.get(event_type, 0)
-            self._seen[event_type] = seen + 1
-            if seen % self.sample_every:
-                self.sampled_out += 1
-                metrics.inc("obs.events_sampled_out")
-                return False
             payload = {
                 "ts": time.time(),  # wall-clock: ok (log timestamp)
                 "type": event_type,
@@ -168,7 +151,6 @@ class EventSink:
             self._size += len(line)
             self.emitted += 1
             metrics.inc("obs.events_emitted")
-            return True
 
     def _rotate(self) -> None:
         """Shift generations: ``path`` → ``path.1`` → ``path.2`` ..."""
@@ -198,13 +180,12 @@ class EventSink:
         logger.debug("rotated event log %s", self.path)
 
     def counts(self) -> dict:
-        """Emission totals (``emitted``/``sampled_out``/``rotations``)
+        """Emission totals (``emitted``/``rotations``)
         as a JSON-ready dict — the event half of a worker's telemetry
         payload."""
         with self._lock:
             return {
                 "emitted": self.emitted,
-                "sampled_out": self.sampled_out,
                 "rotations": self.rotations,
             }
 
@@ -288,7 +269,8 @@ def active_sink() -> EventSink | None:
 
 
 def emit(event_type: str, **fields) -> bool:
-    """Emit one event on the active sink, if any.
+    """Emit one event on the active sink, if any; returns whether it
+    was written.
 
     Never raises on I/O problems: a failing disk should degrade
     observability, not take the serving path down with it.
@@ -297,7 +279,8 @@ def emit(event_type: str, **fields) -> bool:
     if sink is None:
         return False
     try:
-        return sink.emit(event_type, **fields)
+        sink.emit(event_type, **fields)
     except OSError:
         logger.exception("event sink write failed; event dropped")
         return False
+    return True

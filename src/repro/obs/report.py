@@ -158,16 +158,6 @@ class RunReport:
     def from_json(cls, text: str) -> "RunReport":
         return cls.from_dict(json.loads(text))
 
-    def to_prometheus(self) -> str:
-        """The report's metrics in the Prometheus text format.
-
-        Empty snapshot (metrics were disabled) renders as an empty
-        exposition, which scrapers accept.
-        """
-        from repro.obs.prometheus import render_prometheus
-
-        return render_prometheus(self.metrics)
-
     def write(self, path) -> None:
         """Serialize to ``path`` as indented JSON."""
         Path(path).write_text(self.to_json() + "\n")

@@ -589,6 +589,12 @@ def largest_rectangle(rows: Sequence[int]) -> GridRect | None:
     return best
 
 
+def covers(grid: RuleGrid, rect: GridRect) -> bool:
+    """Whether every cell of ``rect`` is set in ``grid``."""
+    block = grid.cells[rect.x_lo:rect.x_hi + 1, rect.y_lo:rect.y_hi + 1]
+    return bool(block.all())
+
+
 def brute_force_maximal_rectangles(grid: RuleGrid) -> list[GridRect]:
     """Oracle enumerator for tests: all all-set rectangles that cannot be
     extended in any direction.  Quartic time — small grids only."""
@@ -600,7 +606,7 @@ def brute_force_maximal_rectangles(grid: RuleGrid) -> list[GridRect]:
             for y_lo in range(n_y):
                 for y_hi in range(y_lo, n_y):
                     rect = GridRect(x_lo, x_hi, y_lo, y_hi)
-                    if not grid.covers(rect):
+                    if not covers(grid, rect):
                         continue
                     if _is_extendable(cells, rect, n_x, n_y):
                         continue

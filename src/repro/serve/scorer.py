@@ -52,7 +52,7 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.rules import ClusteredRule, Interval
+from repro.core.rules import Interval
 from repro.core.segmentation import Segmentation
 from repro.obs import metrics
 
@@ -148,10 +148,6 @@ class CompiledScorer:
         object.__setattr__(self, "x_edge_list", self.x_edges.tolist())
         object.__setattr__(self, "y_edge_list", self.y_edges.tolist())
 
-    @property
-    def n_rules(self) -> int:
-        return len(self.segmentation.rules)
-
     def score_batch(self, x_values, y_values) -> np.ndarray:
         """First-matching-rule index per point (``-1`` = no rule).
 
@@ -196,15 +192,6 @@ class CompiledScorer:
         metrics.inc("serve.tuples_scored", 1)
         metrics.observe("serve.batch_size", 1)
         return index
-
-    def in_segment(self, x_values, y_values) -> np.ndarray:
-        """Boolean membership — ``Segmentation.covers``, compiled."""
-        return self.score_batch(x_values, y_values) >= 0
-
-    def explain(self, x: float, y: float) -> ClusteredRule | None:
-        """The rule that fired for the point, or ``None``."""
-        index = self.score(x, y)
-        return None if index < 0 else self.segmentation.rules[index]
 
 
 def compile_scorer(segmentation: Segmentation) -> CompiledScorer:

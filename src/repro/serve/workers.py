@@ -380,6 +380,9 @@ class MultiProcessServer:
         self._stopped = threading.Event()
         self._threads: list[threading.Thread] = []
         self._started = False
+        #: The registry start() installed, when the embedding process
+        #: had none; drain() disables it after the final publish.
+        self._own_metrics: metrics.MetricsRegistry | None = None
         metrics.set_gauge("serve.workers", self.worker_count)
         logger.info(
             "multi-process server bound to %s: %d worker(s), "
@@ -420,9 +423,10 @@ class MultiProcessServer:
         # own registries unconditionally after the fork (see
         # _reset_child_observability); the parent does the same here so
         # aggregation overhead is measured whether or not the embedding
-        # process opted into obs.
+        # process opted into obs.  A registry installed here is this
+        # server's, and drain() turns it off again.
         if metrics.active() is None:
-            metrics.enable(metrics.MetricsRegistry())
+            self._own_metrics = metrics.enable(metrics.MetricsRegistry())
         # Fork outside self._lock: the child inherits every lock in
         # its at-fork state, so a fork under a held lock wedges the
         # child the first time it touches that lock.  No supervision
@@ -523,6 +527,9 @@ class MultiProcessServer:
         self._acks.close()
         self._socket.close()
         metrics.set_gauge("serve.workers", 0)
+        if (self._own_metrics is not None
+                and metrics.active() is self._own_metrics):
+            metrics.disable()
         if self._fleet_dir is not None:
             # Server-owned temp home for the fleet document; a
             # caller-pinned fleet_path is left in place instead.

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.binning import bin_table
-from repro.mining.apriori import (
-    AprioriMiner,
-    AssociationRule,
-    table_transactions,
-)
+from repro.mining.apriori import AprioriMiner, AssociationRule
 from repro.mining.engine import rule_grid, rule_measures
 
 BASKETS = [
@@ -75,15 +71,18 @@ class TestMine:
 
 
 class TestTableTransactions:
+    """Record data as transactions: each tuple is the set of its
+    ``(attribute, value)`` items (the paper's introduction)."""
+
     def test_items_are_attribute_value_pairs(self):
-        transactions = table_transactions(
-            {"x": [1, 2], "g": ["A", "B"]}
+        transactions = [{("x", 1), ("g", "A")}, {("x", 2), ("g", "B")}]
+        rules = AprioriMiner.from_transactions(transactions).mine_for_rhs(
+            ("g", "A"), 0.5, 0.9
         )
-        assert transactions[0] == frozenset([("x", 1), ("g", "A")])
-        assert len(transactions) == 2
+        assert [rule.lhs for rule in rules] == [frozenset([("x", 1)])]
 
     def test_empty(self):
-        assert table_transactions({}) == []
+        assert AprioriMiner.from_transactions([]).mine(0.1, 0.5) == []
 
 
 class TestEngineCrossCheck:

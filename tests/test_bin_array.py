@@ -6,6 +6,7 @@ import pytest
 from repro.binning.bin_array import BinArray
 from repro.binning.categorical import CategoricalEncoding
 from repro.binning.strategies import equi_width_layout
+from repro.mining.engine import EMPTY_CELL, rule_measures
 
 
 def make_bin_array(n_x=4, n_y=3, target=None):
@@ -32,7 +33,7 @@ class TestShapeAndModes:
     def test_memory_cells_smaller_in_single_target_mode(self):
         full = make_bin_array()
         single = make_bin_array(target=0)
-        assert single.memory_cells() < full.memory_cells()
+        assert single.counts.size < full.counts.size
 
 
 class TestAccumulation:
@@ -187,31 +188,35 @@ class TestQueries:
         return array
 
     def test_cell_support(self, filled):
-        assert filled.cell_support(0, 0, 0) == pytest.approx(3 / 6)
-        assert filled.cell_support(1, 1, 0) == 0.0
+        support = rule_measures(filled, 0).support
+        assert support[0, 0] == pytest.approx(3 / 6)
+        assert support[1, 1] == EMPTY_CELL  # no tuple of A
 
     def test_cell_confidence(self, filled):
-        assert filled.cell_confidence(0, 0, 0) == pytest.approx(3 / 4)
-        assert filled.cell_confidence(1, 1, 0) == 0.0
-        assert filled.cell_confidence(3, 2, 0) == 0.0  # empty cell
+        confidence = rule_measures(filled, 0).confidence
+        assert confidence[0, 0] == pytest.approx(3 / 4)
+        assert confidence[1, 1] == EMPTY_CELL  # no tuple of A
+        assert confidence[3, 2] == EMPTY_CELL  # empty cell
 
     def test_support_grid_matches_cell_support(self, filled):
-        grid = filled.support_grid(0)
-        assert grid[0, 0] == pytest.approx(filled.cell_support(0, 0, 0))
+        support = rule_measures(filled, 0).support
+        occupied = filled.count_grid(0) > 0
+        assert np.array_equal(filled.support_grid(0)[occupied],
+                              support[occupied])
 
     def test_confidence_grid_zero_on_empty_cells(self, filled):
-        grid = filled.confidence_grid(0)
-        assert grid[3, 2] == 0.0
-        assert grid[0, 0] == pytest.approx(0.75)
+        confidence = rule_measures(filled, 1).confidence
+        assert confidence[3, 2] == EMPTY_CELL
+        assert confidence[0, 0] == pytest.approx(0.25)
 
     def test_occupied_cells(self, filled):
-        assert filled.occupied_cells(0) == 1
-        assert filled.occupied_cells(1) == 2
+        assert np.count_nonzero(filled.count_grid(0)) == 1
+        assert np.count_nonzero(filled.count_grid(1)) == 2
 
     def test_empty_array_supports(self):
         array = make_bin_array()
         assert array.support_grid(0).sum() == 0.0
-        assert array.cell_support(0, 0, 0) == 0.0
+        assert (rule_measures(array, 0).support == EMPTY_CELL).all()
 
 
 class TestThresholdEnumeration:

@@ -80,7 +80,7 @@ class TestPathExtraction:
             for condition in conditions:
                 mask &= condition.holds(table)
             if mask.any():
-                predicted = tree.predict(table.where(mask))
+                predicted = tree.predict(table.take(np.flatnonzero(mask)))
                 assert (predicted == label).all()
 
 

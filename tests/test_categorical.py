@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.binning.categorical import CategoricalEncoding
+from repro.data.schema import CategoricalColumn
 
 
 class TestConstruction:
@@ -13,10 +14,12 @@ class TestConstruction:
         assert encoding.cardinality == 3
 
     def test_from_values_first_seen_order(self):
-        encoding = CategoricalEncoding.from_values(
-            "g", ["y", "x", "y", "z", "x"]
-        )
-        assert encoding.values == ("y", "x", "z")
+        """Raw values are factorized in first-seen order before they
+        are encoded."""
+        column = CategoricalColumn.from_values(["y", "x", "y", "z", "x"])
+        assert column.domain == ("y", "x", "z")
+        encoding = CategoricalEncoding("g", ("x", "y", "z"))
+        assert encoding.encode(column).tolist() == [1, 0, 1, 2, 0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -44,7 +47,7 @@ class TestCoding:
         codes = encoding.encode(values)
         assert codes.dtype == np.int64
         assert list(codes) == [2, 0, 1, 0]
-        assert encoding.decode(codes) == values
+        assert [encoding.values[code] for code in codes] == values
 
     def test_encode_unknown_value(self):
         encoding = CategoricalEncoding("g", ("a",))
@@ -58,4 +61,4 @@ class TestCoding:
     def test_integer_values(self):
         encoding = CategoricalEncoding("zipcode", tuple(range(9)))
         assert encoding.code_of(4) == 4
-        assert encoding.decode([8, 0]) == [8, 0]
+        assert encoding.encode([8, 0]).tolist() == [8, 0]

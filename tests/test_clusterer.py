@@ -84,7 +84,7 @@ class TestPipeline:
         outcome = GridClusterer().cluster(rule_measures(bin_array, code),
                                           0.9, 0.99)
         assert outcome.n_rules == 0
-        assert outcome.raw_grid.is_empty()
+        assert outcome.raw_grid.n_set == 0
 
     def test_support_weighted_variant_runs(self, clean_setup):
         bin_array, code = clean_setup

@@ -52,7 +52,7 @@ class TestSupportLevel:
         grid = rule_grid(measures, count / n_total, 0.0)
         assert grid.cells.tolist() == [[True, False], [False, False]]
         assert rule_pairs(array, 0, count / n_total, 0.0) == [(0, 0)]
-        assert rule_grid(measures, (count + 1) / n_total, 0.0).is_empty()
+        assert rule_grid(measures, (count + 1) / n_total, 0.0).n_set == 0
 
 
 class TestRulePairs:

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core.bitop import _clear_rows
 from repro.core.grid import RuleGrid
+from repro.core.merging import hull_cover_fraction
 from repro.core.rules import BinnedRule, GridRect
+from repro.perf import reference
 
 
 class TestConstruction:
     def test_empty(self):
         grid = RuleGrid.empty(4, 3)
         assert grid.n_x == 4 and grid.n_y == 3
-        assert grid.is_empty()
         assert grid.n_set == 0
 
     def test_from_pairs(self):
@@ -20,17 +22,22 @@ class TestConstruction:
         assert grid.cells[0, 0] and grid.cells[2, 1]
 
     def test_from_rules(self):
+        """Binned rules plot onto the grid through their cells."""
         rules = [BinnedRule(1, 1, "A", 0.1, 0.9)]
-        grid = RuleGrid.from_rules(rules, 3, 3)
+        grid = RuleGrid.from_pairs(
+            [(rule.x_bin, rule.y_bin) for rule in rules], 3, 3
+        )
         assert grid.set_pairs() == [(1, 1)]
 
     def test_from_rules_out_of_range(self):
         rules = [BinnedRule(5, 0, "A", 0.1, 0.9)]
         with pytest.raises(ValueError):
-            RuleGrid.from_rules(rules, 3, 3)
+            RuleGrid.from_pairs(
+                [(rule.x_bin, rule.y_bin) for rule in rules], 3, 3
+            )
 
     def test_from_pairs_empty(self):
-        assert RuleGrid.from_pairs([], 3, 2).is_empty()
+        assert RuleGrid.from_pairs([], 3, 2).n_set == 0
 
     def test_from_pairs_accepts_any_iterable(self):
         grid = RuleGrid.from_pairs(iter([(1, 1), (1, 1)]), 2, 2)
@@ -61,9 +68,9 @@ class TestBitmaps:
 
     def test_round_trip(self):
         grid = RuleGrid.from_pairs([(0, 0), (1, 2), (2, 1)], 3, 3)
-        rows = grid.row_bitmaps()
-        back = RuleGrid.from_row_bitmaps(rows, 3)
-        assert np.array_equal(grid.cells, back.cells)
+        assert grid.row_bitmaps() == reference.row_bitmaps_scalar(
+            grid.cells
+        )
 
     def test_empty_rows_are_zero(self):
         grid = RuleGrid.empty(3, 4)
@@ -74,31 +81,33 @@ class TestRectOperations:
     def test_covers(self):
         grid = RuleGrid.empty(4, 4)
         grid.set_rect(GridRect(1, 2, 1, 2))
-        assert grid.covers(GridRect(1, 2, 1, 2))
-        assert grid.covers(GridRect(1, 1, 1, 1))
-        assert not grid.covers(GridRect(0, 2, 1, 2))
+        assert reference.covers(grid, GridRect(1, 2, 1, 2))
+        assert reference.covers(grid, GridRect(1, 1, 1, 1))
+        assert not reference.covers(grid, GridRect(0, 2, 1, 2))
 
     def test_clear_rect(self):
+        """BitOp's greedy cover clears a taken rectangle from the row
+        bitmaps."""
         grid = RuleGrid.empty(4, 4)
         grid.set_rect(GridRect(0, 3, 0, 3))
-        grid.clear_rect(GridRect(1, 2, 1, 2))
-        assert grid.n_set == 16 - 4
-        assert not grid.cells[1, 1]
-        assert grid.cells[0, 0]
+        rows = grid.row_bitmaps()
+        _clear_rows(rows, GridRect(1, 2, 1, 2))
+        assert rows == [0b1111, 0b1001, 0b1001, 0b1111]
 
     def test_copy_is_independent(self):
         grid = RuleGrid.empty(2, 2)
         clone = grid.copy()
         clone.set_rect(GridRect(0, 0, 0, 0))
-        assert grid.is_empty()
-        assert not clone.is_empty()
+        assert grid.n_set == 0
+        assert clone.n_set == 1
 
     def test_fraction_covered_by(self):
+        """The share of a merge hull's cells that are set."""
         grid = RuleGrid.empty(4, 1)
-        grid.set_rect(GridRect(0, 3, 0, 0))
-        half = [GridRect(0, 1, 0, 0)]
-        assert grid.fraction_covered_by(half) == pytest.approx(0.5)
-        assert grid.fraction_covered_by([]) == 0.0
+        grid.set_rect(GridRect(0, 1, 0, 0))
+        assert hull_cover_fraction(grid, GridRect(0, 3, 0, 0)) == 0.5
+        assert hull_cover_fraction(grid, GridRect(0, 1, 0, 0)) == 1.0
 
     def test_fraction_covered_by_empty_grid(self):
-        assert RuleGrid.empty(2, 2).fraction_covered_by([]) == 1.0
+        assert hull_cover_fraction(RuleGrid.empty(2, 2),
+                                   GridRect(0, 1, 0, 1)) == 0.0

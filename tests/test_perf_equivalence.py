@@ -35,7 +35,7 @@ from repro.core.bitop import BitOpClusterer, StartRowChains
 from repro.core.grid import RuleGrid
 from repro.core.merging import _trim_to_content, merge_clusters
 from repro.core.optimizer import OptimizerConfig, ThresholdLattice
-from repro.core.rules import ClusteredRule, GridRect, Interval
+from repro.core.rules import GridRect
 from repro.core.segmentation import Segmentation
 from repro.core.smoothing import (
     neighbourhood_mean,
@@ -383,16 +383,13 @@ class TestVerifierEquivalence:
     def test_counts_identical(self):
         verifier = Verifier(verification_table(2000, 4), "group", "A",
                             sample_size=150, repeats=8, seed=9)
-        segmentation = Segmentation(
-            rules=(ClusteredRule("age", "salary", Interval(10.0, 60.0),
-                                 Interval(25.0, 90.0, closed_high=True),
-                                 "group", "A", support=0.1,
-                                 confidence=0.9),),
-            x_attribute="age", y_attribute="salary",
-            rhs_attribute="group", rhs_value="A",
+        x_layout = equi_width_layout("age", 0.0, 100.0, 10)
+        y_layout = equi_width_layout("salary", 0.0, 100.0, 10)
+        rects = [GridRect(1, 5, 2, 9)]
+        report = verifier.verify_rects(x_layout, y_layout, rects)
+        assert report == reference.verify_scalar(
+            verifier, grid_segmentation(x_layout, y_layout, rects)
         )
-        report = verifier.verify(segmentation)
-        assert report == reference.verify_scalar(verifier, segmentation)
         assert report.mean_false_positives > 0
         assert report.mean_false_negatives > 0
 
@@ -400,20 +397,16 @@ class TestVerifierEquivalence:
         n = 500
         verifier = Verifier(verification_table(n, 0), "group", "A",
                             sample_size=n, repeats=3, seed=0)
-        everything = Interval(-1.0, 101.0)
-        for rules in ((), (ClusteredRule("age", "salary", everything,
-                                         everything, "group", "A",
-                                         support=1.0, confidence=0.3),)):
-            segmentation = Segmentation(
-                rules=rules, x_attribute="age", y_attribute="salary",
-                rhs_attribute="group", rhs_value="A",
+        x_layout = equi_width_layout("age", 0.0, 100.0, 10)
+        y_layout = equi_width_layout("salary", 0.0, 100.0, 10)
+        for rects in ([], [GridRect(0, 9, 0, 9)]):
+            report = verifier.verify_rects(x_layout, y_layout, rects)
+            assert report == reference.verify_scalar(
+                verifier, grid_segmentation(x_layout, y_layout, rects)
             )
-            report = verifier.verify(segmentation)
-            assert report == reference.verify_scalar(verifier,
-                                                     segmentation)
             # Covering nothing misses every target; covering everything
             # admits every non-target.
-            missed = (report.mean_false_negatives if not rules
+            missed = (report.mean_false_negatives if not rects
                       else report.mean_false_positives)
             assert report.mean_errors == missed > 0
 
@@ -436,9 +429,9 @@ class TestVerifierEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Verifier.verify samples once at construction; verify_scalar covers the
-# whole table per call and then gathers.  Coverage and target membership
-# are element-wise, so the two reports must be ``==``.
+# Verifier.verify_rects samples once at construction; verify_scalar
+# covers the whole table per call and then gathers.  Coverage and target
+# membership are element-wise, so the two reports must be ``==``.
 # ----------------------------------------------------------------------
 LHS_ATTRIBUTES = ("age", "salary", "loan")
 
@@ -457,27 +450,36 @@ def verification_table(n, seed, labels=("A", "B", "other")):
 
 
 @st.composite
-def intervals(draw):
-    """Overlapping, edge-aligned, out-of-domain and whole-domain
-    intervals, half-open or closed above."""
-    low = draw(st.sampled_from((-50.0, 0.0, 10.0, 25.0, 50.0, 99.0, 100.0,
-                                150.0)))
-    width = draw(st.sampled_from((1e-9, 1.0, 15.0, 50.0, 100.0, 1000.0)))
-    return Interval(low, low + width, closed_high=draw(st.booleans()))
+def grid_segmentations(draw, x_attribute="age", y_attribute="salary"):
+    """``(x_layout, y_layout, rects)``: layouts with edges on and past
+    the tables' 0..100 value lattice, so samples fall on edges, between
+    them and outside the layout, and up to 6 rectangles on their grid."""
+    layouts = [
+        BinLayout(name, sorted(draw(st.lists(
+            st.integers(-10, 110), min_size=2, max_size=10, unique=True,
+        ))))
+        for name in (x_attribute, y_attribute)
+    ]
+    rects = draw(st.lists(
+        st.tuples(*(st.integers(0, layout.n_bins - 1)
+                    for layout in layouts for _ in range(2))).map(
+            lambda c: GridRect(min(c[0], c[1]), max(c[0], c[1]),
+                               min(c[2], c[3]), max(c[2], c[3]))),
+        max_size=6,
+    ))
+    return (*layouts, rects)
 
 
-@st.composite
-def segmentations(draw, x_attribute="age", y_attribute="salary",
-                  rhs_value="A"):
-    rules = tuple(
-        ClusteredRule(x_attribute, y_attribute, draw(intervals()),
-                      draw(intervals()), "group", rhs_value,
-                      support=0.1, confidence=0.9)
-        for _ in range(draw(st.integers(0, 6)))
+def grid_segmentation(x_layout, y_layout, rects):
+    """The value-space segmentation whose rules span ``rects``."""
+    bin_array = BinArray(x_layout, y_layout,
+                         CategoricalEncoding("group", ("A", "B")))
+    return Segmentation(
+        rules=tuple(clusterer.clustered_rule_from_rect(rect, bin_array, 0)
+                    for rect in rects),
+        x_attribute=x_layout.attribute, y_attribute=y_layout.attribute,
+        rhs_attribute="group", rhs_value="A",
     )
-    return Segmentation(rules=rules, x_attribute=x_attribute,
-                        y_attribute=y_attribute, rhs_attribute="group",
-                        rhs_value=rhs_value)
 
 
 class _Label:
@@ -520,65 +522,64 @@ def check_every_trial(monkeypatch) -> list:
 
 
 class TestVerifyEquivalence:
-    def assert_reports_equal(self, verifier, segmentation):
-        assert verifier.verify(segmentation) == reference.verify_scalar(
-            verifier, segmentation
+    def assert_reports_equal(self, verifier, grid):
+        assert verifier.verify_rects(*grid) == reference.verify_scalar(
+            verifier, grid_segmentation(*grid)
         )
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 3000), st.integers(0, 2**32 - 1),
-           segmentations(), st.integers(1, 1500), st.integers(1, 6),
+           grid_segmentations(), st.integers(1, 1500), st.integers(1, 6),
            st.integers(0, 2**32 - 1))
-    def test_random_tables_and_segmentations(self, n, table_seed,
-                                             segmentation, sample_size,
-                                             repeats, seed):
+    def test_random_tables_and_segmentations(self, n, table_seed, grid,
+                                             sample_size, repeats, seed):
         verifier = Verifier(verification_table(n, table_seed), "group",
                             "A", sample_size=sample_size, repeats=repeats,
                             seed=seed)
-        self.assert_reports_equal(verifier, segmentation)
+        self.assert_reports_equal(verifier, grid)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 300), segmentations())
-    def test_sample_size_clamped_to_table(self, n, segmentation):
+    @given(st.integers(1, 300), grid_segmentations())
+    def test_sample_size_clamped_to_table(self, n, grid):
         verifier = Verifier(verification_table(n, n), "group", "A",
                             sample_size=n + 7, repeats=3, seed=n)
         assert verifier.sample_size == n
-        self.assert_reports_equal(verifier, segmentation)
+        self.assert_reports_equal(verifier, grid)
 
     @settings(max_examples=30, deadline=None)
-    @given(segmentations(), st.integers(0, 1000))
-    def test_single_repeat(self, segmentation, seed):
+    @given(grid_segmentations(), st.integers(0, 1000))
+    def test_single_repeat(self, grid, seed):
         verifier = Verifier(verification_table(500, 3), "group", "A",
                             sample_size=120, repeats=1, seed=seed)
-        report = verifier.verify(segmentation)
-        assert report.error_rate_stderr == 0.0
-        assert report == reference.verify_scalar(verifier, segmentation)
+        assert verifier.verify_rects(*grid).error_rate_stderr == 0.0
+        self.assert_reports_equal(verifier, grid)
 
     @settings(max_examples=30, deadline=None)
-    @given(segmentations(rhs_value=_Label("A")))
-    def test_scalar_target_fallback(self, segmentation):
+    @given(grid_segmentations())
+    def test_scalar_target_fallback(self, grid):
         labels = (_Label("A"), _Label("B"), _Label("other"))
         table = verification_table(900, 8, labels=labels)
         verifier = Verifier(table, "group", _Label("A"),
                             sample_size=200, repeats=4, seed=2)
-        self.assert_reports_equal(verifier, segmentation)
+        self.assert_reports_equal(verifier, grid)
 
     @settings(max_examples=30, deadline=None)
-    @given(segmentations("age", "salary"), segmentations("loan", "age"),
-           segmentations("salary", "loan"))
+    @given(grid_segmentations("age", "salary"),
+           grid_segmentations("loan", "age"),
+           grid_segmentations("salary", "loan"))
     def test_unseen_attributes(self, first, second, third):
         """Segmentations over attribute pairs the verifier has not
         gathered yet still match the full-table pass."""
         verifier = Verifier(verification_table(2000, 4), "group", "A",
                             sample_size=300, repeats=5, seed=6)
-        for segmentation in (first, second, third):
-            self.assert_reports_equal(verifier, segmentation)
+        for grid in (first, second, third):
+            self.assert_reports_equal(verifier, grid)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(
-        st.one_of(segmentations("age", "salary"),
-                  segmentations("loan", "age"),
-                  segmentations("salary", "loan")),
+        st.one_of(grid_segmentations("age", "salary"),
+                  grid_segmentations("loan", "age"),
+                  grid_segmentations("salary", "loan")),
         min_size=2, max_size=6,
     ))
     def test_call_order_does_not_matter(self, series):
@@ -589,8 +590,9 @@ class TestVerifyEquivalence:
                            repeats=4, seed=9)
         backward = Verifier(table, "group", "A", sample_size=250,
                             repeats=4, seed=9)
-        in_order = [forward.verify(seg) for seg in series]
-        reversed_ = [backward.verify(seg) for seg in reversed(series)]
+        in_order = [forward.verify_rects(*grid) for grid in series]
+        reversed_ = [backward.verify_rects(*grid)
+                     for grid in reversed(series)]
         assert in_order == reversed_[::-1]
 
     @pytest.mark.parametrize("n_tuples, outliers, seed, fit_config", [
@@ -709,52 +711,21 @@ class TestVerifyEquivalence:
                             sample_size=data.draw(st.integers(1, 300)),
                             repeats=data.draw(st.integers(1, 5)),
                             seed=data.draw(st.integers(0, 2**32 - 1)))
-        bin_array = BinArray(x_layout, y_layout,
-                             CategoricalEncoding("group", labels))
-        segmentation = Segmentation(
-            rules=tuple(clusterer.clustered_rule_from_rect(rect, bin_array, 0)
-                        for rect in rects),
-            x_attribute="age", y_attribute="salary",
-            rhs_attribute="group", rhs_value="A",
-        )
-        assert verifier.verify_rects(x_layout, y_layout, rects) == (
-            reference.verify_scalar(verifier, segmentation)
-        )
+        self.assert_reports_equal(verifier, (x_layout, y_layout, rects))
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 16), st.integers(1, 400),
            st.integers(0, 2**32 - 1),
-           st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9),
-                              st.integers(0, 9), st.integers(0, 9)),
-                    max_size=5),
-           segmentations())
+           grid_segmentations())
     def test_report_floats_for_1_to_16_repeats(self, repeats, sample_size,
-                                                seed, corners,
-                                                segmentation):
+                                                seed, grid):
         """The plain-Python report equals NumPy's aggregates whether
         NumPy sums the repeats one by one (fewer than 8) or pairwise
-        (8 and more), on the grid and in value space."""
+        (8 and more)."""
         verifier = Verifier(verification_table(1500, 12), "group", "A",
                             sample_size=sample_size, repeats=repeats,
                             seed=seed)
-        x_layout = equi_width_layout("age", 0.0, 100.0, 10)
-        y_layout = equi_width_layout("salary", 0.0, 100.0, 10)
-        rects = [GridRect(min(a, b), max(a, b), min(c, d), max(c, d))
-                 for a, b, c, d in corners]
-        bin_array = BinArray(x_layout, y_layout, CategoricalEncoding(
-            "group", ("A", "B", "other")))
-        on_grid = Segmentation(
-            rules=tuple(clusterer.clustered_rule_from_rect(rect, bin_array, 0)
-                        for rect in rects),
-            x_attribute="age", y_attribute="salary",
-            rhs_attribute="group", rhs_value="A",
-        )
-        assert verifier.verify_rects(x_layout, y_layout, rects) == (
-            reference.verify_scalar(verifier, on_grid)
-        )
-        assert verifier.verify(segmentation) == (
-            reference.verify_scalar(verifier, segmentation)
-        )
+        self.assert_reports_equal(verifier, grid)
 
 
 class TestNumpySumOrder:
@@ -842,11 +813,14 @@ class TestRowBitmapEquivalence:
         assert rows[3] == 1 << 69
 
     def test_round_trip(self):
+        """Each set bit of a row is one set cell: decoding the rows
+        bit by bit gives the grid back."""
         rng = np.random.default_rng(9)
         cells = rng.random((12, 77)) < 0.3
-        grid = RuleGrid(cells)
-        back = RuleGrid.from_row_bitmaps(grid.row_bitmaps(), 77)
-        assert np.array_equal(back.cells, cells)
+        rows = RuleGrid(cells).row_bitmaps()
+        assert rows == reference.row_bitmaps_scalar(cells)
+        assert [[row >> j & 1 == 1 for j in range(77)]
+                for row in rows] == cells.tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 6), st.integers(1, 130), st.floats(0.0, 1.0),
@@ -858,10 +832,6 @@ class TestRowBitmapEquivalence:
         assert RuleGrid(cells).row_bitmaps() == (
             reference.row_bitmaps_scalar(cells)
         )
-
-    def test_from_row_bitmaps_rejects_out_of_range_bits(self):
-        with pytest.raises(ValueError):
-            RuleGrid.from_row_bitmaps([1 << 10], n_y=8)
 
 
 class TestDriftEquivalence:

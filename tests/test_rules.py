@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.binning.bin_array import BinArray
+from repro.binning.categorical import CategoricalEncoding
+from repro.binning.strategies import equi_width_layout
+from repro.core.clusterer import clustered_rule_from_rect
+from repro.core.grid import RuleGrid
 from repro.core.rules import BinnedRule, ClusteredRule, GridRect, Interval
+
+
+def rule_over(rect):
+    """The clustered rule a rectangle on a 4 x 4 grid over
+    ``[0, 4] x [0, 4]`` translates to."""
+    bin_array = BinArray(equi_width_layout("x", 0.0, 4.0, 4),
+                         equi_width_layout("y", 0.0, 4.0, 4),
+                         CategoricalEncoding("g", ("A", "B")))
+    return clustered_rule_from_rect(rect, bin_array, 0)
 
 
 class TestInterval:
@@ -22,15 +36,20 @@ class TestInterval:
             Interval(2.0, 2.0)
 
     def test_width(self):
-        assert Interval(1.0, 3.5).width == 2.5
+        """A bin span's interval is as wide as its bins."""
+        layout = equi_width_layout("x", 0.0, 10.0, 4)
+        assert layout.span_interval(1, 2) == (2.5, 7.5)
 
     def test_overlaps_basic(self):
-        assert Interval(0, 2).overlaps(Interval(1, 3))
-        assert not Interval(0, 1).overlaps(Interval(2, 3))
+        assert Interval(0, 2).intersect(Interval(1, 3)) is not None
+        assert Interval(0, 1).intersect(Interval(2, 3)) is None
 
     def test_overlaps_shared_endpoint_half_open(self):
-        assert not Interval(0, 1).overlaps(Interval(1, 2))
-        assert Interval(0, 1, closed_high=True).overlaps(Interval(1, 2))
+        """Adjacent half-open intervals share no point; a closed upper
+        end shares the endpoint."""
+        assert not Interval(0, 1).contains([1.0])[0]
+        assert Interval(1, 2).contains([1.0])[0]
+        assert Interval(0, 1, closed_high=True).contains([1.0])[0]
 
     def test_intersect(self):
         got = Interval(0, 5).intersect(Interval(3, 8))
@@ -43,11 +62,18 @@ class TestInterval:
         assert got is not None and got.closed_high
 
     def test_hull(self):
-        assert Interval(0, 1).hull(Interval(3, 4)) == Interval(0, 4)
+        """A rectangle's rule spans its first bin's low edge to its last
+        bin's high edge."""
+        rule = rule_over(GridRect(0, 1, 1, 2))
+        assert rule.x_interval == Interval(0, 2)
+        assert rule.y_interval == Interval(1, 3)
 
     def test_hull_closure_follows_upper_interval(self):
-        upper_closed = Interval(3, 4, closed_high=True)
-        assert Interval(0, 1).hull(upper_closed).closed_high
+        """Only a span that reaches the layout's last, closed bin is
+        closed above."""
+        rule = rule_over(GridRect(0, 3, 0, 2))
+        assert rule.x_interval == Interval(0, 4, closed_high=True)
+        assert not rule.y_interval.closed_high
 
     def test_describe(self):
         assert Interval(40, 42).describe("age") == "40 <= age < 42"
@@ -96,17 +122,26 @@ class TestGridRect:
         assert not rect.contains_cell(1, 3)
 
     def test_cells_enumeration(self):
-        rect = GridRect(0, 1, 0, 1)
-        assert sorted(rect.cells()) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        grid = RuleGrid.empty(3, 3)
+        grid.set_rect(GridRect(0, 1, 0, 1))
+        assert grid.set_pairs() == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_overlaps(self):
-        assert GridRect(0, 2, 0, 2).overlaps(GridRect(2, 4, 2, 4))
-        assert not GridRect(0, 1, 0, 1).overlaps(GridRect(2, 3, 0, 1))
+        """Rectangles sharing a corner cell both contain it."""
+        a, b = GridRect(0, 2, 0, 2), GridRect(2, 4, 2, 4)
+        assert a.contains_cell(2, 2) and b.contains_cell(2, 2)
 
     def test_intersect(self):
-        got = GridRect(0, 3, 0, 3).intersect(GridRect(2, 5, 1, 2))
-        assert got == GridRect(2, 3, 1, 2)
-        assert GridRect(0, 0, 0, 0).intersect(GridRect(1, 1, 1, 1)) is None
+        """The cells two rectangles share form their overlap."""
+        def cells(rect):
+            grid = RuleGrid.empty(6, 6)
+            grid.set_rect(rect)
+            return grid.cells
+
+        shared = cells(GridRect(0, 3, 0, 3)) & cells(GridRect(2, 5, 1, 2))
+        assert np.array_equal(shared, cells(GridRect(2, 3, 1, 2)))
+        assert not (cells(GridRect(0, 0, 0, 0))
+                    & cells(GridRect(1, 1, 1, 1))).any()
 
     def test_union_bounding(self):
         got = GridRect(0, 1, 0, 1).union_bounding(GridRect(3, 4, 2, 5))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.data.io import read_csv
+from repro.data.sampling import sample_indices
 from repro.data.schema import (
     AttributeSpec,
     CategoricalColumn,
@@ -72,11 +74,11 @@ class TestTableConstruction:
         )
         assert table.column("b").dtype == object
 
-    def test_from_rows(self):
-        table = Table.from_rows(
-            [quantitative("a"), categorical("b")],
-            [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}],
-        )
+    def test_from_rows(self, tmp_path):
+        """A table read row by row from a CSV file."""
+        path = tmp_path / "rows.csv"
+        path.write_text("a,b\n1,x\n2,y\n")
+        table = read_csv(path, [quantitative("a"), categorical("b")])
         assert len(table) == 2
         assert list(table.column("a")) == [1.0, 2.0]
 
@@ -148,27 +150,28 @@ class TestTableRowOperations:
 
     def test_where(self, tiny_table):
         mask = tiny_table.column("age") < 40
-        sub = tiny_table.where(mask)
+        sub = tiny_table.take(np.flatnonzero(mask))
         assert len(sub) == 3
         assert all(sub.column("age") < 40)
 
     def test_where_shape_mismatch(self, tiny_table):
-        with pytest.raises(SchemaError):
-            tiny_table.where(np.array([True, False]))
+        with pytest.raises(IndexError):
+            tiny_table.take([len(tiny_table)])
 
     def test_head(self, tiny_table):
         assert len(tiny_table.head(2)) == 2
         assert len(tiny_table.head(100)) == len(tiny_table)
 
     def test_sample_without_replacement(self, tiny_table, fresh_rng):
-        sample = tiny_table.sample(6, fresh_rng)
+        """A k-of-n sample of all n rows holds every row once."""
+        sample = tiny_table.take(sample_indices(6, 6, fresh_rng))
         assert sorted(sample.column("age")) == sorted(
             tiny_table.column("age")
         )
 
     def test_sample_too_large(self, tiny_table, fresh_rng):
-        with pytest.raises(SchemaError):
-            tiny_table.sample(7, fresh_rng)
+        with pytest.raises(ValueError):
+            sample_indices(len(tiny_table), 7, fresh_rng)
 
     def test_with_column_adds(self, tiny_table):
         values = [1.0] * len(tiny_table)
@@ -215,10 +218,10 @@ class TestStreaming:
             list(tiny_table.iter_chunks(0))
 
     def test_iter_rows(self, tiny_table):
-        rows = list(tiny_table.iter_rows())
+        rows = list(tiny_table.iter_chunks(1))
         assert len(rows) == len(tiny_table)
-        assert rows[0]["group"] == "A"
-        assert rows[0]["age"] == 25.0
+        assert rows[0].column("group").tolist() == ["A"]
+        assert rows[0].column("age").tolist() == [25.0]
 
 
 class TestCategoricalCodesStore:
@@ -275,13 +278,12 @@ class TestCategoricalCodesStore:
         mask = np.array([True, False, True, False, True, False])
         cases = [
             (table.take(rows), values[rows]),
-            (table.where(mask), values[mask]),
+            (table.take(np.flatnonzero(mask)), values[mask]),
             (table.head(4), values[:4]),
             (table.select(["g"]), values),
         ]
-        sample_rng = np.random.default_rng(3)
-        picked = np.random.default_rng(3).choice(6, size=4, replace=False)
-        cases.append((table.sample(4, sample_rng), values[picked]))
+        picked = sample_indices(6, 4, np.random.default_rng(3))
+        cases.append((table.take(picked), values[picked]))
         for chunk, start in zip(table.iter_chunks(4), (0, 4)):
             cases.append((chunk, values[start:start + 4]))
         for result, expected in cases:
@@ -289,7 +291,7 @@ class TestCategoricalCodesStore:
             assert result.categorical_column("g").domain == ("a", "b", "c")
 
     def test_row_subset_reports_only_observed_values(self):
-        subset = self.table().where(np.array(
+        subset = self.table().take(np.flatnonzero(
             [True, True, False, True, True, True]
         ))
         assert subset.categorical_values("g") == ("a", "b")
@@ -337,5 +339,5 @@ class TestCategoricalCodesStore:
         ]
 
     def test_iter_rows_decodes(self):
-        rows = list(self.table().iter_rows())
-        assert [row["g"] for row in rows] == self.VALUES
+        rows = list(self.table().iter_chunks(1))
+        assert [row.column("g")[0] for row in rows] == self.VALUES

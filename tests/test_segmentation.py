@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.rules import ClusteredRule, Interval
 from repro.core.segmentation import Segmentation
+from repro.serve.scorer import compile_scorer
 
 
 def make_rule(x_lo, x_hi, y_lo, y_hi, **overrides):
@@ -77,10 +78,13 @@ class TestCoverage:
         assert len(covered) == len(tiny_table)
 
     def test_predict_labels(self, segmentation, tiny_table):
-        labels = segmentation.predict_labels(tiny_table, "other")
-        assert set(labels) <= {"A", "other"}
+        """The compiled scorer labels a row in the segment exactly where
+        the rules cover it."""
+        rules = compile_scorer(segmentation).score_batch(
+            tiny_table.column("age"), tiny_table.column("salary")
+        )
         covered = segmentation.covers_table(tiny_table)
-        assert ((labels == "A") == covered).all()
+        assert np.array_equal(rules >= 0, covered)
 
     def test_iteration(self, segmentation):
         assert len(list(segmentation)) == 2
@@ -98,6 +102,3 @@ class TestReporting:
             rhs_attribute="group", rhs_value="A",
         )
         assert "empty segmentation" in empty.describe()
-
-    def test_total_support(self, segmentation):
-        assert segmentation.total_support() == pytest.approx(0.2)

@@ -111,14 +111,13 @@ class TestCompiledScorer:
         ys = rng.uniform(0, 160_000, 1500)
         scorer = compile_scorer(segmentation)
         assert np.array_equal(
-            scorer.in_segment(xs, ys), segmentation.covers(xs, ys)
+            scorer.score_batch(xs, ys) >= 0, segmentation.covers(xs, ys)
         )
 
     def test_explain_returns_the_fired_rule(self, segmentation):
         scorer = compile_scorer(segmentation)
-        rule = scorer.explain(65, 50_000)
-        assert rule == segmentation.rules[1]
-        assert scorer.explain(5, 5_000) is None
+        assert scorer.score(65, 50_000) == 1
+        assert scorer.score(5, 5_000) == -1
 
     def test_empty_segmentation_scores_nothing(self):
         empty = Segmentation(

@@ -89,7 +89,7 @@ def test_in_segment_matches_segmentation_covers(case):
     segmentation, xs, ys = case
     scorer = compile_scorer(segmentation)
     assert np.array_equal(
-        scorer.in_segment(xs, ys), segmentation.covers(xs, ys)
+        scorer.score_batch(xs, ys) >= 0, segmentation.covers(xs, ys)
     )
 
 

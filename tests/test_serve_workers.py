@@ -22,6 +22,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.rules import ClusteredRule, Interval
+from repro.obs import metrics
 from repro.obs.prometheus import parse_prometheus
 from repro.core.segmentation import Segmentation
 from repro.perf.reference import score_batch_scalar
@@ -194,6 +195,31 @@ class TestMultiProcessServer:
             _post(server.url, "/predict",
                   {"model": "groupA", "x": 25, "y": 60_000}, timeout=2)
         server.drain()  # idempotent
+
+    def test_drain_disables_the_registry_start_installed(self, model_dir):
+        metrics.disable()  # start() installs a registry only if none is on
+        server = MultiProcessServer(
+            model_dir, port=0, workers=1, refresh_interval=-1,
+        )
+        server.start()
+        assert metrics.active() is not None
+        server.drain(timeout=15.0)
+        assert metrics.active() is None
+
+    def test_drain_keeps_the_embedding_process_registry(self, model_dir):
+        registry = metrics.enable(metrics.MetricsRegistry())
+        try:
+            server = MultiProcessServer(
+                model_dir, port=0, workers=1, refresh_interval=-1,
+            )
+            server.start()
+            assert metrics.active() is registry
+            server.drain(timeout=15.0)
+            assert metrics.active() is registry
+            # The parent's own instruments fed the registry it found.
+            assert registry.snapshot()["gauges"]["serve.workers"] == 0
+        finally:
+            metrics.disable()
 
     def test_watchdog_restarts_killed_worker(self, pool):
         victim = pool.worker_pids()[0]

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.rules import ClusteredRule, Interval
+from repro.binning.strategies import BinLayout
+from repro.core.rules import ClusteredRule, GridRect, Interval
 from repro.core.segmentation import Segmentation
 from repro.core.verifier import Verifier
 from repro.data.schema import Table, categorical, quantitative
@@ -31,6 +32,15 @@ def segmentation_over(x_lo, x_hi, y_lo, y_hi):
         "group", "A", support=0.5, confidence=0.9,
     )
     return Segmentation.from_rules([rule])
+
+
+def verify_over(verifier, x_lo, x_hi, y_lo, y_hi):
+    """``verify_rects`` on the one rectangle ``[x_lo, x_hi) x [y_lo,
+    y_hi)``: the first bin of two-bin layouts, the segmentation
+    :func:`segmentation_over` builds."""
+    x_layout = BinLayout("age", [x_lo, x_hi, x_hi + 1.0])
+    y_layout = BinLayout("salary", [y_lo, y_hi, y_hi + 1.0])
+    return verifier.verify_rects(x_layout, y_layout, [GridRect(0, 0, 0, 0)])
 
 
 class TestExactErrorRate:
@@ -75,7 +85,7 @@ class TestSampledVerification:
         )
         seg = segmentation_over(0, 50, 0, 50)
         verifier = Verifier(table, "group", "A", sample_size=4, repeats=3)
-        report = verifier.verify(seg)
+        report = verify_over(verifier, 0, 50, 0, 50)
         assert report.error_rate == pytest.approx(
             verifier.exact_error_rate(seg)
         )
@@ -85,9 +95,8 @@ class TestSampledVerification:
         table = make_table(
             [(10, 10), (20, 20), (90, 90)], ["A", "other", "A"]
         )
-        seg = segmentation_over(0, 50, 0, 50)
         verifier = Verifier(table, "group", "A", sample_size=3, repeats=2)
-        report = verifier.verify(seg)
+        report = verify_over(verifier, 0, 50, 0, 50)
         assert report.mean_false_positives == 1.0
         assert report.mean_false_negatives == 1.0
         assert report.mean_errors == 2.0
@@ -98,31 +107,29 @@ class TestSampledVerification:
         assert verifier.sample_size == 1
 
     def test_deterministic_for_fixed_seed(self, f2_table):
-        seg = segmentation_over(20, 40, 50_000, 100_000)
-        # Domain differs but intervals still apply.
-        a = Verifier(f2_table, "group", "A", sample_size=500,
-                     repeats=3, seed=5).verify(seg)
-        b = Verifier(f2_table, "group", "A", sample_size=500,
-                     repeats=3, seed=5).verify(seg)
+        bounds = (20, 40, 50_000, 100_000)
+        a = verify_over(Verifier(f2_table, "group", "A", sample_size=500,
+                                 repeats=3, seed=5), *bounds)
+        b = verify_over(Verifier(f2_table, "group", "A", sample_size=500,
+                                 repeats=3, seed=5), *bounds)
         assert a == b  # frozen dataclass: field-wise equality
 
     def test_same_report_for_fixed_seed(self):
         """The sample is drawn once per verifier and is a pure function of
-        the seed: calling ``verify`` again, or on a fresh verifier with
-        the same seed, gives the same report."""
+        the seed: verifying again, or on a fresh verifier with the same
+        seed, gives the same report."""
         rng = np.random.default_rng(11)
         points = rng.uniform(0, 100, (600, 2))
         labels = np.where(
             (points[:, 0] < 50) & (points[:, 1] < 50), "A", "other"
         ).tolist()
         table = make_table(points.tolist(), labels)
-        seg = segmentation_over(0, 50, 0, 50)
         verifier = Verifier(table, "group", "A", sample_size=200,
                             repeats=6, seed=13)
-        first = verifier.verify(seg)
-        assert verifier.verify(seg) == first
-        fresh = Verifier(table, "group", "A", sample_size=200,
-                         repeats=6, seed=13).verify(seg)
+        first = verify_over(verifier, 0, 50, 0, 50)
+        assert verify_over(verifier, 0, 50, 0, 50) == first
+        fresh = verify_over(Verifier(table, "group", "A", sample_size=200,
+                                     repeats=6, seed=13), 0, 50, 0, 50)
         assert fresh == first  # frozen dataclass: field-wise equality
 
     def test_estimate_tracks_exact_rate(self, f2_table):
@@ -130,16 +137,17 @@ class TestSampledVerification:
         seg = segmentation_over(20, 40, 50_000, 100_000)
         verifier = Verifier(f2_table, "group", "A", sample_size=2000,
                             repeats=10, seed=1)
-        report = verifier.verify(seg)
+        report = verify_over(verifier, 20, 40, 50_000, 100_000)
         exact = verifier.exact_error_rate(seg)
         assert abs(report.error_rate - exact) < 0.02
 
     def test_more_repeats_reduce_stderr(self, f2_table):
-        seg = segmentation_over(20, 40, 50_000, 100_000)
-        few = Verifier(f2_table, "group", "A", sample_size=500,
-                       repeats=3, seed=2).verify(seg)
-        many = Verifier(f2_table, "group", "A", sample_size=500,
-                        repeats=30, seed=2).verify(seg)
+        bounds = (20, 40, 50_000, 100_000)
+        few = verify_over(Verifier(f2_table, "group", "A", sample_size=500,
+                                   repeats=3, seed=2), *bounds)
+        many = verify_over(Verifier(f2_table, "group", "A",
+                                    sample_size=500, repeats=30, seed=2),
+                           *bounds)
         assert many.error_rate_stderr <= few.error_rate_stderr + 0.01
 
     def test_rejects_bad_parameters(self, f2_table):
@@ -154,8 +162,8 @@ class TestSamplingCounters:
         registry = metrics.MetricsRegistry()
         metrics.enable(registry)
         try:
-            Verifier(f2_table, "group", "A", sample_size=200, repeats=6,
-                     seed=13).verify(segmentation_over(0, 50, 0, 50))
+            verify_over(Verifier(f2_table, "group", "A", sample_size=200,
+                                 repeats=6, seed=13), 0, 50, 0, 50)
         finally:
             metrics.disable()
         counters = registry.snapshot()["counters"]
@@ -164,10 +172,9 @@ class TestSamplingCounters:
 
     def test_verify_without_metrics_stays_silent(self, f2_table):
         assert metrics.active() is None
-        report = Verifier(f2_table, "group", "A", sample_size=50,
-                          repeats=4, seed=2).verify(
-            segmentation_over(0, 50, 0, 50)
-        )
+        report = verify_over(Verifier(f2_table, "group", "A",
+                                      sample_size=50, repeats=4, seed=2),
+                             0, 50, 0, 50)
         assert report.repeats == 4
         assert metrics.active() is None
 
@@ -197,6 +204,6 @@ class TestConstruction:
     def test_cached_samples_stay_out_of_repr_and_eq(self):
         table = make_table([(10, 10), (90, 90)], ["A", "other"])
         verifier = Verifier(table, "group", "A", seed=4)
-        verifier.verify(segmentation_over(0, 50, 0, 50))
+        verify_over(verifier, 0, 50, 0, 50)
         assert "_indices" not in repr(verifier)
         assert verifier == Verifier(table, "group", "A", seed=4)
